@@ -1118,6 +1118,32 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_sweeps_finish_clean_on_every_seed() {
+        // Redis and NStore recovery rebuild their tables into fresh heap
+        // blocks the crash may have poisoned; their write paths must
+        // scrub such a block instead of aborting the sweep (the flags of
+        // `crashsweep --steps 12 --seeds 1 --torn 0.2 --drop-flush 0.05
+        // --poison 0.002`, which once panicked for seeds 2-5).
+        for seed in 1..=8 {
+            let base = SweepConfig {
+                fault: FaultConfig {
+                    torn_store_rate: 0.2,
+                    dropped_flush_rate: 0.05,
+                    poison_rate: 0.002,
+                    ..Default::default()
+                },
+                ..small(seed)
+            };
+            for app in SweepApp::ALL {
+                let ex = sweep_app(&base, app);
+                assert!(ex.violations.is_empty(), "seed {seed}: {:?}", ex.violations.first());
+                let pr = sweep_app(&SweepConfig { prune: true, ..base }, app);
+                assert_same_verdicts(&ex, &pr);
+            }
+        }
+    }
+
+    #[test]
     fn transient_poison_does_not_split_equivalence_classes() {
         // Every poisoned line is transient: recovery retries through all
         // of them, so crash states differing only in transient-poison

@@ -28,10 +28,8 @@ proptest! {
         inject_bug in any::<bool>(),
         torn in prop_oneof![Just(0.0f64), Just(0.25f64)],
         drop_flush in prop_oneof![Just(0.0f64), Just(0.08f64)],
+        poison in prop_oneof![Just(0.0f64), Just(0.005f64)],
     ) {
-        // No poison here: the apps' write paths read record headers
-        // before recovery gets a chance to scrub, so poison coverage
-        // lives in the dedicated unit tests (Memcached tolerates it).
         let base = SweepConfig {
             seed,
             steps,
@@ -39,6 +37,7 @@ proptest! {
             fault: FaultConfig {
                 torn_store_rate: torn,
                 dropped_flush_rate: drop_flush,
+                poison_rate: poison,
                 ..Default::default()
             },
             inject_bug,

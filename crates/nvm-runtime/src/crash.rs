@@ -18,7 +18,7 @@
 //! program, crash it under a policy, and check the recovered state for
 //! consistency.
 
-use crate::pool::{PAddr, PmemPool};
+use crate::pool::{Line, PAddr, PmemPool, CACHE_LINE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,23 +47,40 @@ impl CrashPolicy {
     }
 }
 
-/// A frozen post-crash durable image, readable like a pool. Carries the
-/// set of cache lines the crash left poisoned (media errors): rebooting
-/// transfers them to the new pool, where reads fail until scrubbed.
+/// A frozen post-crash durable image, readable like a pool. It is stored
+/// sparsely: the pool size plus its non-zero cache lines in ascending
+/// line order (every other byte is zero), so building, hashing and
+/// rebooting an image cost O(non-zero lines), not O(pool). It also
+/// carries the set of cache lines the crash left poisoned (media errors):
+/// rebooting transfers them to the new pool, where reads fail until
+/// scrubbed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashImage {
-    bytes: Vec<u8>,
+    /// Size in bytes of the pool the image was taken from.
+    size: u64,
+    /// (global line index, bytes) of every non-zero line, ascending.
+    lines: Vec<(u64, Line)>,
     /// (global line index, transient?) pairs.
     poisoned: Vec<(u64, bool)>,
 }
 
 impl CrashImage {
-    pub fn new(bytes: Vec<u8>) -> CrashImage {
-        CrashImage { bytes, poisoned: Vec::new() }
-    }
-
-    pub fn with_poison(bytes: Vec<u8>, poisoned: Vec<(u64, bool)>) -> CrashImage {
-        CrashImage { bytes, poisoned }
+    /// An image of a `size`-byte pool whose non-zero content is `lines`
+    /// (distinct lines inside the pool, in any order; all-zero lines are
+    /// dropped).
+    pub fn from_lines(
+        size: u64,
+        mut lines: Vec<(u64, Line)>,
+        poisoned: Vec<(u64, bool)>,
+    ) -> CrashImage {
+        lines.retain(|(_, bytes)| *bytes != [0; CACHE_LINE as usize]);
+        lines.sort_unstable_by_key(|&(line, _)| line);
+        assert!(lines.windows(2).all(|w| w[0].0 < w[1].0), "a line is listed twice");
+        assert!(
+            lines.last().is_none_or(|&(line, _)| (line + 1) * CACHE_LINE <= size),
+            "a line lies outside the {size}-byte pool"
+        );
+        CrashImage { size, lines, poisoned }
     }
 
     /// Lines the crash poisoned.
@@ -74,7 +91,8 @@ impl CrashImage {
     /// Content hash of the *durable* identity of this crash state: the
     /// image bytes plus the set of permanently poisoned lines. Two images
     /// with equal hashes recover identically, so crash-state explorers may
-    /// collapse them into one equivalence class.
+    /// collapse them into one equivalence class. The bytes enter as the
+    /// size and the sparse line list, which determine them exactly.
     ///
     /// Transient poison is deliberately excluded: it clears after a single
     /// failed read, and every recovery path reads through
@@ -82,20 +100,19 @@ impl CrashImage {
     /// can never alter what recovery adopts or drops. Hashing it would
     /// split logically identical crash states into distinct classes.
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a over 8-byte words (the image is word-aligned by
-        // construction; a byte-at-a-time fold is ~8x slower on the 4 MiB
-        // pools the sweep uses, which matters in debug test builds).
+        // FNV-1a over 8-byte words.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |w: u64| {
             h ^= w;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        let mut chunks = self.bytes.chunks_exact(8);
-        for c in &mut chunks {
-            mix(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        for &b in chunks.remainder() {
-            mix(b as u64);
+        mix(self.size);
+        mix(self.lines.len() as u64);
+        for (line, bytes) in &self.lines {
+            mix(*line);
+            for c in bytes.chunks_exact(8) {
+                mix(u64::from_le_bytes(c.try_into().unwrap()));
+            }
         }
         let mut durable_poison: Vec<u64> = self
             .poisoned
@@ -111,22 +128,42 @@ impl CrashImage {
         h
     }
 
-    /// The raw durable image.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The non-zero lines of the image, ascending by line index.
+    pub fn lines(&self) -> &[(u64, Line)] {
+        &self.lines
     }
 
+    /// Size in bytes of the imaged pool.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.size as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.size == 0
     }
 
     pub fn read(&self, addr: PAddr, buf: &mut [u8]) {
-        let a = addr.0 as usize;
-        buf.copy_from_slice(&self.bytes[a..a + buf.len()]);
+        assert!(
+            addr.0.checked_add(buf.len() as u64).is_some_and(|end| end <= self.size),
+            "crash image read out of range: {addr:?}+{}",
+            buf.len()
+        );
+        let mut off = addr.0;
+        let mut next = self.lines.partition_point(|&(line, _)| line < off / CACHE_LINE);
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let at = (off % CACHE_LINE) as usize;
+            let n = rest.len().min(CACHE_LINE as usize - at);
+            match self.lines.get(next) {
+                Some((line, bytes)) if *line == off / CACHE_LINE => {
+                    rest[..n].copy_from_slice(&bytes[at..at + n]);
+                    next += 1;
+                }
+                _ => rest[..n].fill(0),
+            }
+            off += n as u64;
+            rest = &mut rest[n..];
+        }
     }
 
     pub fn read_u64(&self, addr: PAddr) -> u64 {
@@ -136,18 +173,13 @@ impl CrashImage {
     }
 
     /// Boot a fresh pool whose durable *and* visible images equal this
-    /// crash image — i.e. restart the machine from the crashed DIMM.
+    /// crash image — i.e. restart the machine from the crashed DIMM. The
+    /// image's lines are installed directly as clean; then its poison set
+    /// is applied.
     pub fn reboot(&self, shards: usize) -> PmemPool {
-        let pool = PmemPool::new(crate::PoolConfig {
-            size: self.bytes.len() as u64,
-            shards,
-            ..Default::default()
-        });
-        // Write + persist the image so visible == durable == image. The
-        // poison set is applied after (the image write would scrub it).
-        pool.write(PAddr(0), &self.bytes);
-        pool.flush(PAddr(0), self.bytes.len() as u64);
-        pool.fence();
+        let pool =
+            PmemPool::new(crate::PoolConfig { size: self.size, shards, ..Default::default() });
+        pool.install_clean(&self.lines);
         for &(line, transient) in &self.poisoned {
             pool.poison_line(line, transient);
         }
@@ -205,18 +237,35 @@ mod tests {
         assert_ne!(CrashPolicy::Pessimistic.apply(&p).content_hash(), h);
 
         // Transient poison is scratch state: same class as the clean image.
-        let bytes = base.bytes().to_vec();
-        let transient = CrashImage::with_poison(bytes.clone(), vec![(3, true), (9, true)]);
+        let with_poison =
+            |poison| CrashImage::from_lines(base.len() as u64, base.lines().to_vec(), poison);
+        let transient = with_poison(vec![(3, true), (9, true)]);
         assert_eq!(transient.content_hash(), h, "transient poison must not split classes");
 
         // Permanent poison changes what recovery can read -> new class.
-        let permanent = CrashImage::with_poison(bytes.clone(), vec![(3, false)]);
+        let permanent = with_poison(vec![(3, false)]);
         assert_ne!(permanent.content_hash(), h);
 
         // Permanent poison order is irrelevant.
-        let a = CrashImage::with_poison(bytes.clone(), vec![(3, false), (9, false)]);
-        let b = CrashImage::with_poison(bytes, vec![(9, false), (3, false)]);
+        let a = with_poison(vec![(3, false), (9, false)]);
+        let b = with_poison(vec![(9, false), (3, false)]);
         assert_eq!(a.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn reboot_installs_lines_clean_without_pool_traffic() {
+        let p = pool();
+        p.write_u64(PAddr(64), 3);
+        p.write_u64(PAddr(8192 + 8), 4);
+        let img = CrashPolicy::Optimistic.apply(&p);
+        let rebooted = img.reboot(2);
+        assert_eq!(rebooted.read_u64(PAddr(64)), 3);
+        assert_eq!(rebooted.read_u64(PAddr(8192 + 8)), 4);
+        assert_eq!(rebooted.non_durable_lines(), 0);
+        let s = rebooted.stats();
+        assert_eq!((s.stores, s.flushes, s.fences, s.lines_written_back), (0, 0, 0, 0));
+        // Crashing the rebooted pool gives back the same image.
+        assert_eq!(CrashPolicy::Pessimistic.apply(&rebooted), img);
     }
 
     #[test]

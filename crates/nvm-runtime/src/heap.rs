@@ -7,9 +7,14 @@
 //! Freed blocks are recycled through volatile free lists; blocks freed but
 //! not reallocated before a crash simply leak, which is the usual trade-off
 //! of log-free allocators and does not affect crash consistency.
+//!
+//! Requests up to the largest size class (2 MiB) are rounded up to their
+//! class; larger ones are carved from the cursor at their size rounded up
+//! to a cache line, so no block is ever smaller than its request.
 
 use crate::pool::{PAddr, PmemPool};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 
 const MAGIC: u64 = 0x4445_4550_4d43_3232; // "DEEPMC22"
 const OFF_MAGIC: u64 = 0;
@@ -20,13 +25,14 @@ const DATA_START: u64 = 64;
 /// All blocks are multiples of this (one cache line keeps objects from
 /// sharing lines, which would couple their flush behaviour).
 const ALIGN: u64 = 64;
-/// Size classes: 64, 128, 256, ... bytes.
+/// Size classes: 64, 128, 256, ... bytes, up to 2 MiB.
 const NUM_CLASSES: usize = 16;
 
 /// A persistent heap bound to a pool.
 pub struct PmemHeap<'p> {
     pool: &'p PmemPool,
-    free_lists: Mutex<Vec<Vec<PAddr>>>,
+    /// Freed blocks by block size.
+    free_lists: Mutex<BTreeMap<u64, Vec<PAddr>>>,
     alloc_lock: Mutex<()>,
 }
 
@@ -37,6 +43,16 @@ fn class_of(size: u64) -> usize {
 
 fn class_bytes(class: usize) -> u64 {
     ALIGN << class
+}
+
+/// Size of the block serving a `size`-byte request: its size class, or
+/// above the largest class the request rounded up to [`ALIGN`]. `None`
+/// when that size does not fit in a `u64`.
+fn block_bytes(size: u64) -> Option<u64> {
+    match class_of(size) {
+        class if class < NUM_CLASSES => Some(class_bytes(class)),
+        _ => size.div_ceil(ALIGN).checked_mul(ALIGN),
+    }
 }
 
 impl<'p> PmemHeap<'p> {
@@ -50,11 +66,7 @@ impl<'p> PmemHeap<'p> {
             pool.flush(PAddr(0), 24);
             pool.fence();
         }
-        PmemHeap {
-            pool,
-            free_lists: Mutex::new(vec![Vec::new(); NUM_CLASSES]),
-            alloc_lock: Mutex::new(()),
-        }
+        PmemHeap { pool, free_lists: Mutex::new(BTreeMap::new()), alloc_lock: Mutex::new(()) }
     }
 
     /// The underlying pool.
@@ -63,19 +75,19 @@ impl<'p> PmemHeap<'p> {
     }
 
     /// Allocate `size` bytes of persistent memory (rounded up to the size
-    /// class). Returns `PAddr::NULL` when the pool is exhausted.
+    /// class, or to a cache line above the largest class). Returns
+    /// `PAddr::NULL` when the pool cannot hold the block.
     pub fn alloc(&self, size: u64) -> PAddr {
-        let class = class_of(size).min(NUM_CLASSES - 1);
-        if let Some(addr) = self.free_lists.lock()[class].pop() {
+        let Some(bytes) = block_bytes(size) else { return PAddr::NULL };
+        if let Some(addr) = self.free_lists.lock().get_mut(&bytes).and_then(Vec::pop) {
             return addr;
         }
-        let bytes = class_bytes(class);
         let _g = self.alloc_lock.lock();
         let cursor = self.pool.read_u64(PAddr(OFF_CURSOR));
-        if cursor + bytes > self.pool.size() {
+        let Some(end) = cursor.checked_add(bytes).filter(|&end| end <= self.pool.size()) else {
             return PAddr::NULL;
-        }
-        self.pool.write_u64(PAddr(OFF_CURSOR), cursor + bytes);
+        };
+        self.pool.write_u64(PAddr(OFF_CURSOR), end);
         self.pool.persist(PAddr(OFF_CURSOR), 8);
         PAddr(cursor)
     }
@@ -84,7 +96,7 @@ impl<'p> PmemHeap<'p> {
     pub fn alloc_zeroed(&self, size: u64) -> PAddr {
         let addr = self.alloc(size);
         if !addr.is_null() {
-            let bytes = class_bytes(class_of(size).min(NUM_CLASSES - 1));
+            let bytes = block_bytes(size).expect("an allocated block has a size");
             self.pool.write(addr, &vec![0u8; bytes as usize]);
             self.pool.persist(addr, bytes);
         }
@@ -96,8 +108,9 @@ impl<'p> PmemHeap<'p> {
         if addr.is_null() {
             return;
         }
-        let class = class_of(size).min(NUM_CLASSES - 1);
-        self.free_lists.lock()[class].push(addr);
+        if let Some(bytes) = block_bytes(size) {
+            self.free_lists.lock().entry(bytes).or_default().push(addr);
+        }
     }
 
     /// Durably set the root pointer (like `pmemobj_root`).
@@ -148,6 +161,22 @@ mod tests {
         assert_eq!(a.0 % ALIGN, 0);
         assert_eq!(b.0 % ALIGN, 0);
         assert!(b.0 >= a.0 + 128, "100 bytes rounds to the 128 class");
+    }
+
+    #[test]
+    fn blocks_above_the_largest_class_are_not_capped() {
+        let p = PmemPool::new(PoolConfig { size: 16 << 20, shards: 4, ..Default::default() });
+        let h = PmemHeap::open(&p);
+        let big = h.alloc(3 << 20);
+        let next = h.alloc(64);
+        assert!(!big.is_null() && !next.is_null());
+        assert!(big.0 + (3 << 20) <= next.0, "3 MiB block {big:?} overlaps {next:?}");
+        // Too large for what is left of the pool: NULL, never a smaller block.
+        assert!(h.alloc(16 << 20).is_null());
+        // A freed large block serves the next request of its size.
+        h.free(big, 3 << 20);
+        assert_eq!(h.alloc(3 << 20), big);
+        assert!(h.alloc(u64::MAX).is_null());
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! multiple client threads) scale. A `fence` takes the shards in index
 //! order.
 //!
+//! Each shard backs its range with fixed 4 KiB pages (both images plus
+//! the 64 line states) that are allocated on the first store into them.
+//! A page that was never stored to reads as zeros and all of its lines
+//! are `Clean`, so a pool costs memory, and a crash image costs time, in
+//! proportion to the pages the workload touched rather than to the pool
+//! size: [`PmemPool::crash_image`] visits only allocated pages and keeps
+//! only non-zero lines, and rebooting an image
+//! ([`crate::CrashImage::reboot`]) installs exactly those lines.
+//!
 //! An optional latency model charges a busy-wait per write-back and fence,
 //! so performance bugs (redundant flushes, §3.3: "an additional writeback
 //! can introduce extra latency by 2–4×") have measurable cost.
@@ -35,6 +44,14 @@ use std::time::{Duration, Instant};
 
 /// Cache-line size in bytes.
 pub const CACHE_LINE: u64 = 64;
+
+/// Bytes per page, the unit in which a shard allocates its backing store.
+const PAGE: u64 = 4096;
+
+const LINES_PER_PAGE: usize = (PAGE / CACHE_LINE) as usize;
+
+/// The bytes of one cache line.
+pub type Line = [u8; CACHE_LINE as usize];
 
 /// A persistent-memory address (byte offset within the pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,29 +80,78 @@ enum LineState {
     FlushPending,
 }
 
+/// One page of a shard: both images of its bytes and the state of each
+/// of its lines.
+struct Page {
+    visible: [u8; PAGE as usize],
+    durable: [u8; PAGE as usize],
+    lines: [LineState; LINES_PER_PAGE],
+}
+
 struct Shard {
     /// First byte offset covered by this shard.
     base: u64,
-    visible: Vec<u8>,
-    durable: Vec<u8>,
-    /// State per cache line of this shard.
-    lines: Vec<LineState>,
+    /// Backing pages, `None` until first stored to; the last one may
+    /// extend past the shard's end.
+    pages: Vec<Option<Box<Page>>>,
     /// Local indices of lines in `FlushPending` state, so a fence drains
     /// in O(pending) instead of scanning the whole shard.
     pending: Vec<u32>,
 }
 
 impl Shard {
-    fn mark(&mut self, first_line: u64, last_line: u64, state: LineState) {
-        let base_line = self.base / CACHE_LINE;
-        for l in first_line..=last_line {
-            let idx = (l - base_line) as usize;
-            match (self.lines[idx], state) {
-                // clwb on a clean line is legal but pointless; it must not
-                // resurrect the line to pending.
-                (LineState::Clean, LineState::FlushPending) => {}
-                _ => self.lines[idx] = state,
+    /// The page holding shard-local byte `local`, allocated if missing.
+    fn page_mut(&mut self, local: usize) -> &mut Page {
+        self.pages[local / PAGE as usize].get_or_insert_with(|| {
+            Box::new(Page {
+                visible: [0; PAGE as usize],
+                durable: [0; PAGE as usize],
+                lines: [LineState::Clean; LINES_PER_PAGE],
+            })
+        })
+    }
+
+    /// Store `data` at shard-local byte `local` (within this shard),
+    /// marking every touched line dirty. With a fault plan attached each
+    /// stored line-span is first offered as a torn-store candidate (the
+    /// mark captures the old content).
+    fn store(&mut self, mut local: usize, mut data: &[u8], fault: Option<&FaultPlan>) {
+        let base = self.base;
+        while !data.is_empty() {
+            let at = local % PAGE as usize;
+            let n = data.len().min(PAGE as usize - at);
+            let page = self.page_mut(local);
+            if let Some(plan) = fault {
+                let mut seg = at;
+                while seg < at + n {
+                    let seg_end =
+                        (at + n).min((seg / CACHE_LINE as usize + 1) * CACHE_LINE as usize);
+                    let abs = base + (local - at + seg) as u64;
+                    plan.on_store(abs / CACHE_LINE, abs, &page.visible[seg..seg_end]);
+                    seg = seg_end;
+                }
             }
+            page.visible[at..at + n].copy_from_slice(&data[..n]);
+            let first = at / CACHE_LINE as usize;
+            let last = (at + n - 1) / CACHE_LINE as usize;
+            page.lines[first..=last].fill(LineState::Dirty);
+            local += n;
+            data = &data[n..];
+        }
+    }
+
+    /// Load shard-local bytes into `buf`; missing pages read as zeros.
+    fn load(&self, mut local: usize, buf: &mut [u8]) {
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let at = local % PAGE as usize;
+            let n = rest.len().min(PAGE as usize - at);
+            match &self.pages[local / PAGE as usize] {
+                Some(page) => rest[..n].copy_from_slice(&page.visible[at..at + n]),
+                None => rest[..n].fill(0),
+            }
+            local += n;
+            rest = &mut rest[n..];
         }
     }
 }
@@ -200,13 +266,9 @@ impl PmemPool {
         let size = shard_bytes * shards as u64;
         let shard_vec = (0..shards)
             .map(|i| {
-                Mutex::new(Shard {
-                    base: i as u64 * shard_bytes,
-                    visible: vec![0; shard_bytes as usize],
-                    durable: vec![0; shard_bytes as usize],
-                    lines: vec![LineState::Clean; (shard_bytes / CACHE_LINE) as usize],
-                    pending: Vec::new(),
-                })
+                let mut pages = Vec::new();
+                pages.resize_with(shard_bytes.div_ceil(PAGE) as usize, || None);
+                Mutex::new(Shard { base: i as u64 * shard_bytes, pages, pending: Vec::new() })
             })
             .collect();
         PmemPool {
@@ -287,25 +349,10 @@ impl PmemPool {
             let mut shard = self.shards[si].lock();
             let local = (off - shard.base) as usize;
             let n = rest.len().min(self.shard_bytes as usize - local);
-            if let Some(plan) = &self.fault {
-                // Offer each stored line-span as a torn-store candidate
-                // before the new bytes land (the mark captures the old
-                // content).
-                let mut seg = off;
-                let end = off + n as u64;
-                while seg < end {
-                    let line = seg / CACHE_LINE;
-                    let seg_end = end.min((line + 1) * CACHE_LINE);
-                    let sl = (seg - shard.base) as usize;
-                    plan.on_store(line, seg, &shard.visible[sl..sl + (seg_end - seg) as usize]);
-                    seg = seg_end;
-                }
-            }
-            shard.visible[local..local + n].copy_from_slice(&rest[..n]);
+            shard.store(local, &rest[..n], self.fault.as_ref());
+            drop(shard);
             let first = off / CACHE_LINE;
             let last = (off + n as u64 - 1) / CACHE_LINE;
-            shard.mark(first, last, LineState::Dirty);
-            drop(shard);
             {
                 let mut poisoned = self.poisoned.lock();
                 if !poisoned.is_empty() {
@@ -360,7 +407,7 @@ impl PmemPool {
             let shard = self.shards[si].lock();
             let local = (off - shard.base) as usize;
             let n = rest.len().min(self.shard_bytes as usize - local);
-            rest[..n].copy_from_slice(&shard.visible[local..local + n]);
+            shard.load(local, &mut rest[..n]);
             off += n as u64;
             rest = &mut rest[n..];
         }
@@ -454,13 +501,20 @@ impl PmemPool {
         let mut l = first;
         while l <= last {
             let si = self.shard_of(l * CACHE_LINE);
-            let mut shard = self.shards[si].lock();
+            let mut guard = self.shards[si].lock();
+            let shard = &mut *guard;
             let base_line = shard.base / CACHE_LINE;
             let shard_last = base_line + self.shard_bytes / CACHE_LINE - 1;
             let upto = last.min(shard_last);
             for line in l..=upto {
                 let idx = (line - base_line) as usize;
-                match shard.lines[idx] {
+                let Some(page) = &mut shard.pages[idx / LINES_PER_PAGE] else {
+                    // A page never stored to is all clean lines.
+                    self.stats.clean_flushes.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                };
+                let state = &mut page.lines[idx % LINES_PER_PAGE];
+                match *state {
                     LineState::Clean => {
                         self.stats.clean_flushes.fetch_add(1, Ordering::Relaxed);
                     }
@@ -473,7 +527,7 @@ impl PmemPool {
                             obs::counter("fault.dropped_flushes", 1);
                             continue;
                         }
-                        shard.lines[idx] = LineState::FlushPending;
+                        *state = LineState::FlushPending;
                         shard.pending.push(idx as u32);
                     }
                     LineState::FlushPending => {
@@ -502,16 +556,21 @@ impl PmemPool {
                 continue;
             }
             let pending = std::mem::take(&mut s.pending);
+            let base_line = s.base / CACHE_LINE;
             for &idx32 in &pending {
                 let idx = idx32 as usize;
-                if s.lines[idx] == LineState::FlushPending {
-                    let a = idx * CACHE_LINE as usize;
+                let page = s.pages[idx / LINES_PER_PAGE]
+                    .as_mut()
+                    .expect("a pending line lies on an allocated page");
+                let i = idx % LINES_PER_PAGE;
+                if page.lines[i] == LineState::FlushPending {
+                    let a = i * CACHE_LINE as usize;
                     let b = a + CACHE_LINE as usize;
-                    let Shard { visible, durable, .. } = &mut *s;
+                    let Page { visible, durable, lines } = &mut **page;
                     durable[a..b].copy_from_slice(&visible[a..b]);
-                    s.lines[idx] = LineState::Clean;
+                    lines[i] = LineState::Clean;
                     if let Some(plan) = &self.fault {
-                        plan.on_writeback(s.base / CACHE_LINE + idx as u64);
+                        plan.on_writeback(base_line + idx as u64);
                     }
                     written_back += 1;
                 }
@@ -544,7 +603,11 @@ impl PmemPool {
     pub fn non_durable_lines(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.lock().lines.iter().filter(|l| **l != LineState::Clean).count() as u64)
+            .map(|s| {
+                let s = s.lock();
+                let states = s.pages.iter().flatten().flat_map(|p| p.lines.iter());
+                states.filter(|l| **l != LineState::Clean).count() as u64
+            })
             .sum()
     }
 
@@ -570,29 +633,43 @@ impl PmemPool {
     /// attached, surviving un-retired lines may additionally be torn
     /// (prefix of the last store, suffix of the old bytes) and pool lines
     /// may come back poisoned.
+    ///
+    /// The policy is asked once per dirty or pending line, in ascending
+    /// line order. Only allocated pages are visited and only non-zero
+    /// lines are kept, so the cost is proportional to the pages the
+    /// workload touched.
     pub fn crash_image(&self, policy: &mut dyn FnMut(u64, bool) -> bool) -> crate::CrashImage {
-        let mut image = vec![0u8; self.size as usize];
+        let mut lines: Vec<(u64, Line)> = Vec::new();
+        let shard_lines = (self.shard_bytes / CACHE_LINE) as usize;
         for shard in &self.shards {
             let s = shard.lock();
-            let base = s.base as usize;
-            image[base..base + s.durable.len()].copy_from_slice(&s.durable);
-            for (idx, state) in s.lines.iter().enumerate() {
-                let line = s.base / CACHE_LINE + idx as u64;
-                let survives = match state {
-                    LineState::Clean => continue,
-                    LineState::Dirty => policy(line, false),
-                    LineState::FlushPending => policy(line, true),
-                };
-                if survives {
-                    let a = idx * CACHE_LINE as usize;
-                    let b = a + CACHE_LINE as usize;
-                    image[base + a..base + b].copy_from_slice(&s.visible[a..b]);
-                    // The line died before its write-back retired: a torn
-                    // mark resurfaces the old suffix of the stored span.
-                    if let Some(mark) = self.fault.as_ref().and_then(|f| f.torn_mark(line)) {
-                        let at = mark.start as usize;
-                        image[at + mark.split..at + mark.old.len()]
-                            .copy_from_slice(&mark.old[mark.split..]);
+            let base_line = s.base / CACHE_LINE;
+            for (pi, page) in s.pages.iter().enumerate() {
+                let Some(page) = page else { continue };
+                let first = pi * LINES_PER_PAGE;
+                for i in 0..LINES_PER_PAGE.min(shard_lines - first) {
+                    let line = base_line + (first + i) as u64;
+                    let survives = match page.lines[i] {
+                        LineState::Clean => false,
+                        LineState::Dirty => policy(line, false),
+                        LineState::FlushPending => policy(line, true),
+                    };
+                    let a = i * CACHE_LINE as usize;
+                    let src = if survives { &page.visible } else { &page.durable };
+                    let mut bytes: Line =
+                        src[a..a + CACHE_LINE as usize].try_into().expect("one whole line");
+                    // A surviving line died before its write-back retired:
+                    // a torn mark resurfaces the old suffix of the stored
+                    // span.
+                    if survives {
+                        if let Some(mark) = self.fault.as_ref().and_then(|f| f.torn_mark(line)) {
+                            let at = (mark.start - line * CACHE_LINE) as usize;
+                            bytes[at + mark.split..at + mark.old.len()]
+                                .copy_from_slice(&mark.old[mark.split..]);
+                        }
+                    }
+                    if bytes != [0; CACHE_LINE as usize] {
+                        lines.push((line, bytes));
                     }
                 }
             }
@@ -601,7 +678,22 @@ impl PmemPool {
             Some(plan) => plan.poison_lines(self.size / CACHE_LINE),
             None => Vec::new(),
         };
-        crate::CrashImage::with_poison(image, poisoned)
+        crate::CrashImage::from_lines(self.size, lines, poisoned)
+    }
+
+    /// Install `lines` as both visible and durable content, leaving them
+    /// clean: the boot path of [`crate::CrashImage::reboot`]. Statistics
+    /// are untouched.
+    pub(crate) fn install_clean(&self, lines: &[(u64, Line)]) {
+        for (line, bytes) in lines {
+            let addr = line * CACHE_LINE;
+            let mut s = self.shards[self.shard_of(addr)].lock();
+            let local = (addr - s.base) as usize;
+            let at = local % PAGE as usize;
+            let page = s.page_mut(local);
+            page.visible[at..at + CACHE_LINE as usize].copy_from_slice(bytes);
+            page.durable[at..at + CACHE_LINE as usize].copy_from_slice(bytes);
+        }
     }
 }
 

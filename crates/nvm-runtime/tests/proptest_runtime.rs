@@ -157,15 +157,17 @@ proptest! {
     }
 
     /// The heap never hands out overlapping blocks, across arbitrary
-    /// alloc/free interleavings.
+    /// alloc/free interleavings, including requests above the largest
+    /// size class (2 MiB), which must never be capped.
     #[test]
     fn heap_blocks_never_overlap(
         ops in proptest::collection::vec(prop_oneof![
             (1u64..200).prop_map(Some),   // alloc of this size
             Just(None),                    // free the oldest live block
+            ((2u64 << 20) - 64..(5u64 << 20)).prop_map(Some),
         ], 1..40)
     ) {
-        let pool = PmemPool::new(PoolConfig { size: 1 << 18, shards: 4, ..Default::default() });
+        let pool = PmemPool::new(PoolConfig { size: 24 << 20, shards: 4, ..Default::default() });
         let heap = PmemHeap::open(&pool);
         let mut live: Vec<(PAddr, u64)> = Vec::new();
         for op in ops {
@@ -175,6 +177,7 @@ proptest! {
                     if a.is_null() {
                         continue;
                     }
+                    prop_assert!(a.0 + size <= pool.size(), "{a:?}+{size} runs past the pool");
                     // No overlap with any live block.
                     for &(b, bsize) in &live {
                         let a_end = a.0 + size;
