@@ -58,7 +58,7 @@ impl Default for DeepMcTracker {
 
 impl DeepMcTracker {
     pub fn new() -> DeepMcTracker {
-        DeepMcTracker { detector: RaceDetector::new(64) }
+        DeepMcTracker { detector: RaceDetector::new() }
     }
 
     /// Dependence reports collected so far.

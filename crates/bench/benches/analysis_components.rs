@@ -45,7 +45,7 @@ fn analysis_components(c: &mut Criterion) {
     {
         group.bench_with_input(BenchmarkId::from_parameter(name), &accesses, |b, &n| {
             b.iter(|| {
-                let d = RaceDetector::new(16);
+                let d = RaceDetector::new();
                 let s = d.strand_begin(None);
                 for i in 0..n {
                     d.on_access(s, i * 8, 8, true);

@@ -420,8 +420,10 @@ const MEMCACHED_REQUEST: Duration = Duration::from_nanos(4_000);
 const REDIS_REQUEST: Duration = Duration::from_nanos(6_000);
 const NSTORE_REQUEST: Duration = Duration::from_nanos(10_000);
 
-/// Run the Figure-12 experiment.
-pub fn fig12_measure(params: Fig12Params) -> Vec<Fig12Point> {
+/// Run the Figure-12 experiment. With `request_cost`, every request first
+/// spins for its app's processing cost above; without it, the overhead is
+/// the dynamic checker's cost over the bare apps.
+pub fn fig12_measure(params: Fig12Params, request_cost: bool) -> Vec<Fig12Point> {
     use nvm_apps::memcached::Memcached;
     use nvm_apps::nstore::NStore;
     use nvm_apps::redis::Redis;
@@ -434,16 +436,30 @@ pub fn fig12_measure(params: Fig12Params) -> Vec<Fig12Point> {
         workload: &'static str,
         build: &dyn Fn(&dyn Tracker) -> f64,
     ) -> Fig12Point {
-        // One warm-up pass per side, then the measured pass: keeps cache
-        // and allocator state comparable between the two sides.
+        // One warm-up pass per side, then three measured passes per side,
+        // alternating so that drift hits both sides alike; each side keeps
+        // its median. A pass without the request cost lasts only tens of
+        // milliseconds, so a single one is mostly scheduling noise.
         let _ = build(&NoopTracker);
-        let baseline = build(&NoopTracker);
         let _ = build(&DeepMcTracker::new());
-        let tracker = DeepMcTracker::new();
-        let deepmc = build(&tracker);
-        Fig12Point { app: app_name, workload, baseline_tps: baseline, deepmc_tps: deepmc }
+        let (mut baseline, mut deepmc) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            baseline.push(build(&NoopTracker));
+            deepmc.push(build(&DeepMcTracker::new()));
+        }
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        Fig12Point {
+            app: app_name,
+            workload,
+            baseline_tps: median(baseline),
+            deepmc_tps: median(deepmc),
+        }
     }
 
+    let cost = |d: Duration| if request_cost { d } else { Duration::ZERO };
     let mut points = Vec::new();
 
     // Memcached + memslap.
@@ -460,7 +476,7 @@ pub fn fig12_measure(params: Fig12Params) -> Vec<Fig12Point> {
                 params.keyspace,
                 tracker,
                 8,
-                MEMCACHED_REQUEST,
+                cost(MEMCACHED_REQUEST),
             )
             .ops_per_sec()
         });
@@ -481,7 +497,7 @@ pub fn fig12_measure(params: Fig12Params) -> Vec<Fig12Point> {
                 params.keyspace,
                 tracker,
                 u64::MAX,
-                REDIS_REQUEST,
+                cost(REDIS_REQUEST),
             )
             .ops_per_sec()
         });
@@ -502,7 +518,7 @@ pub fn fig12_measure(params: Fig12Params) -> Vec<Fig12Point> {
                 params.keyspace,
                 tracker,
                 u64::MAX,
-                NSTORE_REQUEST,
+                cost(NSTORE_REQUEST),
             )
             .ops_per_sec()
         });
@@ -512,18 +528,28 @@ pub fn fig12_measure(params: Fig12Params) -> Vec<Fig12Point> {
     points
 }
 
-/// Figure 12 rendered.
+/// Figure 12 rendered twice: with the request-cost model and without it.
 pub fn fig12(params: Fig12Params) -> String {
-    let points = fig12_measure(params);
     let mut out = String::new();
-    let _ = writeln!(out, "Figure 12. Throughput with and without DeepMC's dynamic analysis.\n");
+    let _ = writeln!(out, "Figure 12. Throughput with and without DeepMC's dynamic analysis.");
+    for (request_cost, title) in [
+        (true, "With the 4/6/10 us request-cost model (Memcached/Redis/NStore)"),
+        (false, "Without a request cost (the bare apps)"),
+    ] {
+        let _ = writeln!(out, "\n{title}:\n");
+        fig12_table(&mut out, &fig12_measure(params, request_cost));
+    }
+    out
+}
+
+fn fig12_table(out: &mut String, points: &[Fig12Point]) {
     let _ = writeln!(
         out,
         "{:<10} {:<20} {:>14} {:>14} {:>10}",
         "App", "Workload", "Baseline tps", "DeepMC tps", "Overhead"
     );
     let mut last_app = "";
-    for p in &points {
+    for p in points {
         if p.app != last_app && !last_app.is_empty() {
             let _ = writeln!(out);
         }
@@ -545,7 +571,6 @@ pub fn fig12(params: Fig12Params) -> String {
         let max = ovs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let _ = writeln!(out, "\n{app}: overhead {min:.1}%-{max:.1}%");
     }
-    out
 }
 
 /// §5.3: completeness — every study bug is re-found.

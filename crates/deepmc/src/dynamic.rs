@@ -29,7 +29,7 @@ pub struct DynamicChecker {
 
 impl DynamicChecker {
     pub fn new(model: PersistencyModel) -> DynamicChecker {
-        DynamicChecker { detector: RaceDetector::new(16), model, warnings: Mutex::new(Vec::new()) }
+        DynamicChecker { detector: RaceDetector::new(), model, warnings: Mutex::new(Vec::new()) }
     }
 
     /// Warnings accumulated so far.

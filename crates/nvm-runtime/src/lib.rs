@@ -13,8 +13,8 @@
 //! * [`tx`] — undo-log durable transactions with real crash recovery: the
 //!   log lives in the pool, so a simulated crash mid-transaction exercises
 //!   the same recovery path a real system would.
-//! * [`clock`], [`shadow`], [`race`] — vector clocks, shadow memory
-//!   segments over the persistent address space, and the happens-before
+//! * [`clock`], [`shadow`], [`race`] — vector clocks, direct-mapped shadow
+//!   memory over the persistent address space, and the happens-before
 //!   WAW/RAW detector DeepMC's dynamic checker uses for strand persistency
 //!   (the stand-in for the paper's 458-line ThreadSanitizer customization).
 //! * [`crash`] — crash-state sampling and recovery validation helpers used

@@ -19,25 +19,32 @@
 //! Two accesses to overlapping cells race iff neither strand's clock knows
 //! the other's epoch and at least one access is a write.
 //!
-//! The hot path ([`RaceDetector::on_access`]) is engineered for the
-//! Figure-12 overhead measurements: per-strand state sits behind an
-//! `RwLock` registry of `Arc`s (reads never contend), the strand's vector
-//! clock is read-locked in place (no per-access clone), and lock clocks
-//! are sharded.
+//! The hot path ([`RaceDetector::on_access`]) is built for the Figure-12
+//! overhead measurements:
+//! * shadow memory is direct-mapped ([`crate::shadow`]): no hashing, no
+//!   per-cell allocation, one page lock per 4 KiB page an access spans;
+//! * the strand registry is append-only, in chunks that never move, so a
+//!   [`StrandId`] reaches its strand without a lock or a reference count;
+//! * a strand's clock is read-locked only when a cell holds another
+//!   strand's conflicting access, and a lock acquire joins the lock's
+//!   clock into the strand's clock in place;
+//! * reports are deduplicated through a hash set kept beside the ordered
+//!   list.
 
 use crate::clock::VectorClock;
 use crate::shadow::{ShadowAccess, ShadowSegment};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// Identifies one strand registered with the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StrandId(pub u32);
 
 /// WAW or RAW.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RaceKind {
     WriteAfterWrite,
     ReadAfterWrite,
@@ -53,7 +60,7 @@ impl std::fmt::Display for RaceKind {
 }
 
 /// One detected inter-strand dependence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RaceReport {
     pub kind: RaceKind,
     /// Persistent address (cell-aligned) where the dependence was observed.
@@ -62,12 +69,94 @@ pub struct RaceReport {
     pub second: StrandId,
 }
 
+/// Aligned so that strands driven by different threads never share a
+/// cache line.
+#[repr(align(128))]
 struct StrandInfo {
     clock: RwLock<VectorClock>,
-    /// Epoch recorded into shadow cells for this strand's accesses (the
-    /// strand's own clock component, cached for lock-free reads).
+    /// The strand's own clock component, which its accesses are recorded
+    /// with; written under the clock's write lock, read without it.
     epoch: AtomicU32,
     ended: AtomicBool,
+}
+
+/// Strands a shadow word can name (it has 31 strand bits).
+const MAX_STRANDS: usize = 1 << 31;
+/// Slots in the registry's first chunk; chunk `k` has `FIRST_CHUNK << k`.
+const FIRST_CHUNK: usize = 32;
+/// Chunks enough for `MAX_STRANDS` strands.
+const CHUNKS: usize = 27;
+
+/// The append-only strand registry: doubling chunks of write-once slots.
+/// A chunk is allocated when its first strand registers and never moves,
+/// so a lookup is two loads.
+struct Registry {
+    chunks: [AtomicPtr<OnceLock<StrandInfo>>; CHUNKS],
+}
+
+impl Registry {
+    fn new() -> Registry {
+        Registry { chunks: [const { AtomicPtr::new(ptr::null_mut()) }; CHUNKS] }
+    }
+
+    /// (chunk, slot) of strand `id`.
+    fn locate(id: usize) -> (usize, usize) {
+        let k = (id / FIRST_CHUNK + 1).ilog2() as usize;
+        (k, id - FIRST_CHUNK * ((1 << k) - 1))
+    }
+
+    fn get(&self, id: StrandId) -> &StrandInfo {
+        let (k, i) = Registry::locate(id.0 as usize);
+        let chunk = self.chunks.get(k).map_or(ptr::null_mut(), |c| c.load(Ordering::Acquire));
+        assert!(!chunk.is_null(), "unknown strand {}", id.0);
+        // SAFETY: chunk `k` is a leaked boxed slice of `FIRST_CHUNK << k`
+        // slots, freed only by `Drop`, and `i` is below that length.
+        let slot = unsafe { &*chunk.add(i) };
+        slot.get().unwrap_or_else(|| panic!("unknown strand {}", id.0))
+    }
+
+    /// Fill slot `id`. Callers register strands one at a time, in id order.
+    fn install(&self, id: usize, info: StrandInfo) {
+        let (k, i) = Registry::locate(id);
+        let mut chunk = self.chunks[k].load(Ordering::Acquire);
+        if chunk.is_null() {
+            let slots: Box<[OnceLock<StrandInfo>]> =
+                (0..FIRST_CHUNK << k).map(|_| OnceLock::new()).collect();
+            chunk = Box::into_raw(slots).cast();
+            self.chunks[k].store(chunk, Ordering::Release);
+        }
+        // SAFETY: as in `get`.
+        let fresh = unsafe { &*chunk.add(i) }.set(info).is_ok();
+        debug_assert!(fresh, "strand {id} registered twice");
+    }
+}
+
+impl Drop for Registry {
+    fn drop(&mut self) {
+        for (k, chunk) in self.chunks.iter_mut().enumerate() {
+            let p = *chunk.get_mut();
+            if !p.is_null() {
+                // SAFETY: allocated by `install` as a boxed slice of this
+                // length.
+                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, FIRST_CHUNK << k)) });
+            }
+        }
+    }
+}
+
+/// Registration state, changed only under its lock.
+struct Registrar {
+    /// Strands registered so far.
+    len: usize,
+    /// Clock inherited by strands created after the last barrier.
+    base: VectorClock,
+}
+
+/// Reports in discovery order, and the same set for deduplication.
+#[derive(Default)]
+struct Reports {
+    list: Vec<RaceReport>,
+    seen: HashSet<RaceReport>,
 }
 
 const LOCK_SHARDS: usize = 32;
@@ -75,33 +164,33 @@ const LOCK_SHARDS: usize = 32;
 /// The happens-before WAW/RAW detector.
 pub struct RaceDetector {
     shadow: ShadowSegment,
-    strands: RwLock<Vec<Arc<StrandInfo>>>,
-    /// Clock inherited by strands created after the last barrier.
-    base: Mutex<VectorClock>,
+    strands: Registry,
+    registrar: Mutex<Registrar>,
     /// Release clocks per lock, sharded by lock id.
     locks: Vec<Mutex<HashMap<u64, VectorClock>>>,
-    reports: Mutex<Vec<RaceReport>>,
+    reports: Mutex<Reports>,
 }
 
 impl Default for RaceDetector {
     fn default() -> Self {
-        RaceDetector::new(16)
+        RaceDetector::new()
     }
 }
 
 impl RaceDetector {
-    pub fn new(shadow_shards: usize) -> RaceDetector {
+    /// An empty detector. Building one allocates no shadow memory.
+    pub fn new() -> RaceDetector {
         RaceDetector {
-            shadow: ShadowSegment::new(shadow_shards),
-            strands: RwLock::new(Vec::new()),
-            base: Mutex::new(VectorClock::new()),
+            shadow: ShadowSegment::new(),
+            strands: Registry::new(),
+            registrar: Mutex::new(Registrar { len: 0, base: VectorClock::new() }),
             locks: (0..LOCK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            reports: Mutex::new(Vec::new()),
+            reports: Mutex::new(Reports::default()),
         }
     }
 
-    fn strand(&self, id: StrandId) -> Arc<StrandInfo> {
-        self.strands.read()[id.0 as usize].clone()
+    fn strand(&self, id: StrandId) -> &StrandInfo {
+        self.strands.get(id)
     }
 
     fn lock_shard(&self, lock: u64) -> &Mutex<HashMap<u64, VectorClock>> {
@@ -111,19 +200,24 @@ impl RaceDetector {
     /// Register a new strand. It inherits the post-barrier base clock and,
     /// when `parent` is given, the parent's current clock (program order).
     pub fn strand_begin(&self, parent: Option<StrandId>) -> StrandId {
-        let mut strands = self.strands.write();
-        let idx = strands.len();
-        let mut clock = self.base.lock().clone();
+        let mut registrar = self.registrar.lock();
+        let idx = registrar.len;
+        assert!(idx < MAX_STRANDS, "more than {MAX_STRANDS} strands");
+        let mut clock = registrar.base.clone();
         if let Some(p) = parent {
-            clock.join(&strands[p.0 as usize].clock.read());
+            clock.join(&self.strand(p).clock.read());
         }
         let epoch = clock.tick(idx).max(1);
         clock.set(idx, epoch);
-        strands.push(Arc::new(StrandInfo {
-            clock: RwLock::new(clock),
-            epoch: AtomicU32::new(epoch),
-            ended: AtomicBool::new(false),
-        }));
+        self.strands.install(
+            idx,
+            StrandInfo {
+                clock: RwLock::new(clock),
+                epoch: AtomicU32::new(epoch),
+                ended: AtomicBool::new(false),
+            },
+        );
+        registrar.len += 1;
         StrandId(idx as u32)
     }
 
@@ -136,10 +230,12 @@ impl RaceDetector {
     /// A persist barrier outside any strand: all *ended* strands
     /// happen-before everything that follows.
     pub fn global_barrier(&self) {
-        let strands = self.strands.read();
-        let mut base = self.base.lock();
-        for s in strands.iter().filter(|s| s.ended.load(Ordering::Acquire)) {
-            base.join(&s.clock.read());
+        let mut registrar = self.registrar.lock();
+        for id in 0..registrar.len {
+            let s = self.strand(StrandId(id as u32));
+            if s.ended.load(Ordering::Acquire) {
+                registrar.base.join(&s.clock.read());
+            }
         }
     }
 
@@ -148,26 +244,26 @@ impl RaceDetector {
     /// the strand. Accesses ordered by a release→acquire pair on the same
     /// lock do not race.
     pub fn lock_acquire(&self, strand: StrandId, lock: u64) {
-        let lc = self.lock_shard(lock).lock().get(&lock).cloned();
-        if let Some(lc) = lc {
-            self.strand(strand).clock.write().join(&lc);
+        // Strand clock before lock shard, as in `lock_release`.
+        let mut clock = self.strand(strand).clock.write();
+        if let Some(lc) = self.lock_shard(lock).lock().get(&lock) {
+            clock.join(lc);
         }
     }
 
     /// See [`RaceDetector::lock_acquire`].
     pub fn lock_release(&self, strand: StrandId, lock: u64) {
         let info = self.strand(strand);
-        let idx = strand.0 as usize;
+        let mut clock = info.clock.write();
         // Publish the strand's history, then advance its epoch so accesses
         // after the release are NOT ordered by this pair.
-        {
-            let clock = info.clock.read();
-            let mut shard = self.lock_shard(lock).lock();
-            shard.entry(lock).and_modify(|lc| lc.join(&clock)).or_insert_with(|| clock.clone());
-        }
-        let mut clock = info.clock.write();
-        let e = clock.tick(idx);
-        info.epoch.store(e, Ordering::Release);
+        self.lock_shard(lock)
+            .lock()
+            .entry(lock)
+            .and_modify(|lc| lc.join(&clock))
+            .or_insert_with(|| clock.clone());
+        let epoch = clock.tick(strand.0 as usize);
+        info.epoch.store(epoch, Ordering::Release);
     }
 
     /// Record an access by `strand` to persistent bytes `[addr, addr+len)`,
@@ -183,20 +279,23 @@ impl RaceDetector {
     ) -> Vec<RaceReport> {
         let info = self.strand(strand);
         let epoch = info.epoch.load(Ordering::Acquire);
-        let clock = info.clock.read();
+        // Read-locked only when a cell holds another strand's conflicting
+        // access: fresh cells and the strand's own cells need no clock.
+        let mut clock = None;
         let mut found: Vec<RaceReport> = Vec::new();
         self.shadow.access(
             addr,
             len,
             ShadowAccess { strand: strand.0, epoch, is_write },
             |cell_addr, cell| {
-                for a in &cell.accesses {
+                for a in cell.accesses() {
                     if a.strand == strand.0 {
                         continue; // program order within a strand
                     }
                     if !is_write && !a.is_write {
                         continue; // read–read never conflicts
                     }
+                    let clock = clock.get_or_insert_with(|| info.clock.read());
                     if clock.knows(a.strand as usize, a.epoch) {
                         continue; // ordered by happens-before
                     }
@@ -215,27 +314,28 @@ impl RaceDetector {
             },
         );
         drop(clock);
-        let mut fresh = Vec::new();
         if !found.is_empty() {
             let mut reports = self.reports.lock();
-            for r in found {
-                if !reports.contains(&r) {
-                    reports.push(r.clone());
-                    fresh.push(r);
-                }
-            }
+            found.retain(|r| reports.seen.insert(r.clone()));
+            reports.list.extend_from_slice(&found);
         }
-        fresh
+        found
     }
 
-    /// All dependences reported so far.
+    /// All dependences reported so far, in discovery order.
     pub fn reports(&self) -> Vec<RaceReport> {
-        self.reports.lock().clone()
+        self.reports.lock().list.clone()
     }
 
-    /// Number of shadowed cells (scales with persistent data touched).
+    /// Number of distinct shadowed cells (scales with persistent data
+    /// touched).
     pub fn shadow_cells(&self) -> usize {
         self.shadow.cells()
+    }
+
+    /// Number of 4 KiB shadow pages allocated (one per page touched).
+    pub fn shadow_pages(&self) -> usize {
+        self.shadow.pages()
     }
 }
 
@@ -383,9 +483,35 @@ mod tests {
         assert_eq!(d.reports().len(), 1, "post-release access still races");
     }
 
+    /// §5.2: shadow state scales with the persistent data touched, not
+    /// with the address space. A fresh detector holds nothing; touching k
+    /// distinct 4 KiB pages allocates exactly k shadow pages, however many
+    /// of their cells are touched; and the cell count is the number of
+    /// distinct 8-byte cells touched.
+    #[test]
+    fn shadow_state_scales_with_persistent_data_touched() {
+        let d = RaceDetector::new();
+        assert_eq!((d.shadow_pages(), d.shadow_cells()), (0, 0));
+        let s = d.strand_begin(None);
+        let pages = [0u64, 1, 7, 65_536, 1 << 30, (1 << 52) - 1];
+        for (k, &page) in pages.iter().enumerate() {
+            // 1, 2, ... whole or partial cells per page, some touched twice.
+            for cell in 0..=k as u64 {
+                d.on_access(s, page * 4096 + cell * 8, 8, cell % 2 == 0);
+                d.on_access(s, page * 4096 + cell * 8 + 3, 2, false);
+            }
+            assert_eq!(d.shadow_pages(), k + 1);
+        }
+        let cells: usize = (1..=pages.len()).sum();
+        assert_eq!(d.shadow_cells(), cells);
+        // A 4 KiB span inside one page adds no page, only its cells.
+        d.on_access(s, 7 * 4096, 4096, true);
+        assert_eq!((d.shadow_pages(), d.shadow_cells()), (pages.len(), cells - 3 + 512));
+    }
+
     #[test]
     fn multithreaded_detection() {
-        let d = std::sync::Arc::new(RaceDetector::new(16));
+        let d = std::sync::Arc::new(RaceDetector::new());
         let ids: Vec<StrandId> = (0..8).map(|_| d.strand_begin(None)).collect();
         crossbeam::scope(|scope| {
             for (i, &sid) in ids.iter().enumerate() {
