@@ -1,8 +1,9 @@
-//! Crash-recovery sweep over the DS corpus.
+//! The DS corpus as a crash target.
 //!
-//! For every prefix of a deterministic operation script, run the prefix
-//! against a fresh structure, crash under every [`CrashPolicy`], reboot,
-//! run the structure's recovery, and validate the recovered contents:
+//! For every prefix of a deterministic operation script, the shared
+//! explorer ([`crate::explore`]) runs the prefix against a fresh
+//! structure, crashes under every [`CrashPolicy`], reboots, runs the
+//! structure's recovery, and validates the recovered contents:
 //!
 //! * with `oracle` — the linearization-prefix oracle: the recovered state
 //!   must equal the canonical model state at some point inside the
@@ -12,21 +13,20 @@
 //! * without — a membership-only check: every recovered element must have
 //!   been added by the executed prefix.
 //!
-//! With `prune`, validation runs WITCHER-style in the same two-phase
-//! shape as [`crate::explore`]: probe every `(step, policy)` crash point,
-//! bucket by `(image content hash, oracle-window digest)`, validate one
-//! representative per class in canonical order via the shared analysis
-//! pool, and propagate verdicts. The pruned outcome is
+//! A step's class context is what that check reads besides the image:
+//! the model states of its durability window, or the added set. With
+//! `prune`, crash points with equal images and contexts share one
+//! validated representative; the pruned outcome is
 //! violation-for-violation identical to the exhaustive one at every
-//! worker count; only the explored/pruned split differs.
+//! worker count, and only the explored/pruned split differs.
 
 use super::{model_states, DsBug, DsInstance, DsKind, DsOp};
-use crate::crashsweep::policy_name;
+use crate::crashsweep::{policy_name, SweepSession};
+use crate::explore::{explore, mix, CrashTarget};
 use crate::tracker::NoopTracker;
-use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
 use deepmc_obs as obs;
 use nvm_runtime::{CrashImage, CrashPolicy, PmemHeap, PmemPool, PoolConfig};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Configuration for one structure × variant sweep.
@@ -95,86 +95,97 @@ impl DsSweepOutcome {
     }
 }
 
-/// The crash policies every step is subjected to, in canonical order.
-fn policies(cfg: &DsSweepConfig) -> Vec<CrashPolicy> {
-    vec![
-        CrashPolicy::Pessimistic,
-        CrashPolicy::PendingOnly,
-        CrashPolicy::Optimistic,
-        CrashPolicy::Random(cfg.seed ^ 0xD5_CA5),
-    ]
+/// One structure variant and its operation script, as a crash target.
+struct DsTarget<'a> {
+    cfg: &'a DsSweepConfig,
+    script: &'a [DsOp],
+    /// `models[t]`: the canonical state after the first `t` operations.
+    models: Vec<Vec<u64>>,
+    /// Every element the script adds.
+    added: BTreeSet<u64>,
+    /// The crash policies every step is subjected to, in canonical order.
+    policies: [CrashPolicy; 4],
 }
 
-/// FNV-1a mix of the class-key components.
-fn mix(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+impl DsTarget<'_> {
+    /// The durability window for a crash at step `s`: operations up to the
+    /// last acknowledged batch are guaranteed; in-flight ones may or may
+    /// not have landed.
+    fn window(&self, s: u64) -> (u64, u64) {
+        (s - s % self.cfg.kind.batch(), s)
     }
-    h
 }
 
-fn digest_state(h: &mut Vec<u64>, state: &[u64]) {
-    h.push(state.len() as u64);
-    h.extend_from_slice(state);
-}
+impl CrashTarget for DsTarget<'_> {
+    type Run = ();
+    /// `Some(detail)` when the recovered image failed the check.
+    type Verdict = Option<String>;
 
-/// Run the first `s` script operations against a fresh structure and
-/// return the pool ready to crash.
-fn run_prefix(cfg: &DsSweepConfig, script: &[DsOp], s: usize) -> PmemPool {
-    let pool = PmemPool::new(PoolConfig { size: 1 << 20, shards: 8, ..Default::default() });
-    {
-        let heap = PmemHeap::open(&pool);
-        let inst = DsInstance::create(cfg.kind, cfg.bug, &heap);
-        let t = NoopTracker;
-        let batch = cfg.kind.batch();
-        for (i, &op) in script[..s].iter().enumerate() {
-            let seq = i as u64 + 1;
-            inst.apply(op, &t, None, 0, seq);
-            if seq.is_multiple_of(batch) {
-                inst.batch_end(&t, None, 0, seq);
+    fn name(&self) -> &'static str {
+        self.cfg.kind.name()
+    }
+
+    fn crash_points(&self) -> usize {
+        self.script.len()
+    }
+
+    fn policies(&self) -> &[CrashPolicy] {
+        &self.policies
+    }
+
+    fn replay(&self, s: usize) -> (PmemPool, ()) {
+        let pool = PmemPool::new(PoolConfig { size: 1 << 20, shards: 8, ..Default::default() });
+        {
+            let heap = PmemHeap::open(&pool);
+            let inst = DsInstance::create(self.cfg.kind, self.cfg.bug, &heap);
+            let t = NoopTracker;
+            let batch = self.cfg.kind.batch();
+            for (i, &op) in self.script[..s].iter().enumerate() {
+                let seq = i as u64 + 1;
+                inst.apply(op, &t, None, 0, seq);
+                if seq.is_multiple_of(batch) {
+                    inst.batch_end(&t, None, 0, seq);
+                }
             }
         }
+        (pool, ())
     }
-    pool
-}
 
-/// The durability window for a crash at step `s`: operations up to the
-/// last acknowledged batch are guaranteed; in-flight ones may or may not
-/// have landed.
-fn window(cfg: &DsSweepConfig, s: u64) -> (u64, u64) {
-    let floor = s - s % cfg.kind.batch();
-    (floor, s)
-}
-
-/// Reboot one crash image, recover, and validate. `None` means the image
-/// passed.
-fn validate(
-    cfg: &DsSweepConfig,
-    models: &[Vec<u64>],
-    added: &BTreeSet<u64>,
-    s: u64,
-    img: &CrashImage,
-) -> Option<String> {
-    let pool = img.reboot(8);
-    let heap = PmemHeap::open(&pool);
-    let inst = DsInstance::recover(cfg.kind, cfg.bug, &heap);
-    let got = inst.contents();
-    if cfg.oracle {
-        let (floor, hi) = window(cfg, s);
-        if !(floor..=hi).any(|t| models[t as usize] == got) {
-            return Some(format!(
-                "recovered {:?} is no linearization prefix in [{floor}, {hi}] (expected around {:?})",
-                got, models[hi as usize]
-            ));
+    fn context(&self, s: usize, _: &()) -> u64 {
+        let (floor, hi) = self.window(s as u64);
+        let mut words: Vec<u64> = vec![self.cfg.oracle as u64, floor, hi];
+        let mut digest_state = |state: &[u64]| {
+            words.push(state.len() as u64);
+            words.extend_from_slice(state);
+        };
+        if self.cfg.oracle {
+            for t in floor..=hi {
+                digest_state(&self.models[t as usize]);
+            }
+        } else {
+            digest_state(&self.added.iter().copied().collect::<Vec<u64>>());
         }
-    } else if let Some(orphan) = got.iter().find(|v| !added.contains(v)) {
-        return Some(format!("recovered element {orphan} was never added"));
+        mix(&words)
     }
-    None
+
+    fn validate(&self, s: usize, _: usize, img: &CrashImage, _: &()) -> Option<String> {
+        let pool = img.reboot(8);
+        let heap = PmemHeap::open(&pool);
+        let inst = DsInstance::recover(self.cfg.kind, self.cfg.bug, &heap);
+        let got = inst.contents();
+        if self.cfg.oracle {
+            let (floor, hi) = self.window(s as u64);
+            if !(floor..=hi).any(|t| self.models[t as usize] == got) {
+                return Some(format!(
+                    "recovered {:?} is no linearization prefix in [{floor}, {hi}] (expected around {:?})",
+                    got, self.models[hi as usize]
+                ));
+            }
+        } else if let Some(orphan) = got.iter().find(|v| !self.added.contains(v)) {
+            return Some(format!("recovered element {orphan} was never added"));
+        }
+        None
+    }
 }
 
 /// Sweep using the canonical deterministic script for `cfg.seed`.
@@ -191,124 +202,45 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
             ("variant", super::variant_name(cfg.bug).to_string()),
         ]
     });
-    let models = model_states(cfg.kind, script);
-    let added: BTreeSet<u64> = script
-        .iter()
-        .filter_map(|op| if let DsOp::Add(v) = op { Some(*v) } else { None })
-        .collect();
-    let jobs = resolve_jobs_request(cfg.jobs);
-    let pols = policies(cfg);
-    let total = script.len();
+    let target = DsTarget {
+        cfg,
+        script,
+        models: model_states(cfg.kind, script),
+        added: script
+            .iter()
+            .filter_map(|op| if let DsOp::Add(v) = op { Some(*v) } else { None })
+            .collect(),
+        policies: [
+            CrashPolicy::Pessimistic,
+            CrashPolicy::PendingOnly,
+            CrashPolicy::Optimistic,
+            CrashPolicy::Random(cfg.seed ^ 0xD5_CA5),
+        ],
+    };
     let mut outcome = DsSweepOutcome {
         kind: cfg.kind,
         bug: cfg.bug,
-        steps: total as u64,
-        images_checked: (total * pols.len()) as u64,
+        steps: script.len() as u64,
+        images_checked: 0,
         states_explored: 0,
         states_pruned: 0,
         violations: Vec::new(),
     };
-
-    if !cfg.prune {
-        // Exhaustive: validate every (step, policy) image; steps fan out
-        // over the shared pool, results merge in step order.
-        let steps: Vec<usize> = (1..=total).collect();
-        let per_step = run_indexed(jobs, steps, |_, s| {
-            let run = run_prefix(cfg, script, s);
-            pols.iter()
-                .map(|p| validate(cfg, &models, &added, s as u64, &p.apply(&run)))
-                .collect::<Vec<_>>()
-        });
-        for (idx, verdicts) in per_step.into_iter().enumerate() {
-            for (pi, verdict) in verdicts.into_iter().enumerate() {
-                if let Some(detail) = verdict {
-                    outcome.violations.push(DsViolation {
-                        step: idx as u64 + 1,
-                        policy: policy_name(&pols[pi]),
-                        detail,
-                    });
-                }
-            }
-        }
-        outcome.states_explored = outcome.images_checked;
-    } else {
-        // Phase A: probe — image hash + oracle-window digest per crash
-        // point, no recovery.
-        let steps: Vec<usize> = (1..=total).collect();
-        let probes = run_indexed(jobs, steps, |_, s| {
-            let run = run_prefix(cfg, script, s);
-            let (floor, hi) = window(cfg, s as u64);
-            let mut ctx: Vec<u64> = vec![cfg.oracle as u64, floor, hi];
-            if cfg.oracle {
-                for t in floor..=hi {
-                    digest_state(&mut ctx, &models[t as usize]);
-                }
-            } else {
-                digest_state(&mut ctx, &added.iter().copied().collect::<Vec<u64>>());
-            }
-            let ctx_digest = mix(&ctx);
-            pols.iter()
-                .map(|p| mix(&[p.apply(&run).content_hash(), ctx_digest]))
-                .collect::<Vec<u64>>()
-        });
-
-        // Elect representatives in canonical (step, policy) order.
-        let mut rep_of: HashMap<u64, (usize, usize)> = HashMap::new();
-        let mut reps_by_step: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (idx, keys) in probes.iter().enumerate() {
-            let s = idx + 1;
-            let mut mine: Vec<usize> = Vec::new();
-            for (pi, &key) in keys.iter().enumerate() {
-                rep_of.entry(key).or_insert_with(|| {
-                    mine.push(pi);
-                    (s, pi)
+    let pols = &target.policies;
+    let run = explore(&target, cfg.prune, cfg.jobs, &SweepSession::default(), |s, _, verdicts| {
+        for (policy, verdict) in pols.iter().zip(verdicts) {
+            outcome.images_checked += 1;
+            if let Some(detail) = verdict {
+                outcome.violations.push(DsViolation {
+                    step: s as u64,
+                    policy: policy_name(policy),
+                    detail: detail.clone(),
                 });
             }
-            if !mine.is_empty() {
-                reps_by_step.push((s, mine));
-            }
         }
-
-        // Phase B: validate only the representatives. Every policy is
-        // still applied in order so representative images are
-        // byte-identical to the exhaustive run's.
-        let results = run_indexed(jobs, reps_by_step.clone(), |_, (s, rep_pis)| {
-            let run = run_prefix(cfg, script, s);
-            pols.iter()
-                .enumerate()
-                .filter_map(|(pi, p)| {
-                    let img = p.apply(&run);
-                    rep_pis
-                        .contains(&pi)
-                        .then(|| (pi, validate(cfg, &models, &added, s as u64, &img)))
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut verdicts: HashMap<(usize, usize), Option<String>> = HashMap::new();
-        for ((s, _), frags) in reps_by_step.iter().zip(results) {
-            for (pi, verdict) in frags {
-                verdicts.insert((*s, pi), verdict);
-            }
-        }
-        outcome.states_explored = verdicts.len() as u64;
-        outcome.states_pruned = outcome.images_checked - outcome.states_explored;
-
-        // Merge: propagate verdicts to class members in canonical order,
-        // relabelled with the member's own step and policy.
-        for (idx, keys) in probes.iter().enumerate() {
-            let s = idx + 1;
-            for (pi, key) in keys.iter().enumerate() {
-                if let Some(detail) = &verdicts[&rep_of[key]] {
-                    outcome.violations.push(DsViolation {
-                        step: s as u64,
-                        policy: policy_name(&pols[pi]),
-                        detail: detail.clone(),
-                    });
-                }
-            }
-        }
-    }
-
+    });
+    outcome.states_explored = run.explored;
+    outcome.states_pruned = outcome.images_checked - run.explored;
     obs::counter("ds.images_checked", outcome.images_checked);
     obs::counter("ds.explored", outcome.states_explored);
     obs::counter("ds.pruned", outcome.states_pruned);

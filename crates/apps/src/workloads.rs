@@ -317,6 +317,26 @@ impl OpHistory {
         !self.buggy.is_empty()
     }
 
+    /// The (key, value) pairs written to an acked key both before its ack
+    /// position and at or after it, sorted. For such a value the
+    /// rollback oracle's verdict flips when the later write lands,
+    /// although neither the pool image nor [`OpHistory::digest`] need
+    /// change.
+    pub fn rewritten_across_ack(&self) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for (&key, &(pos, _)) in &self.acked {
+            let Some(writes) = self.writes.get(&key) else { continue };
+            for &(p, v) in writes {
+                if p >= pos && writes.iter().any(|&(q, w)| q < pos && w == v) {
+                    pairs.push((key, v));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
     /// Order-independent digest of the oracle-relevant state: the acked
     /// map plus the buggy-key set. Two crash points with equal pool-image
     /// hashes *and* equal history digests validate identically, so the

@@ -63,3 +63,33 @@ proptest! {
         prop_assert_eq!(pruned.to_string(), pruned_par.to_string());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Memcached collapses crash points across steps, so its class
+    /// context must cover everything the rollback oracle reads. Long
+    /// scripts with the seeded bug and the oracle on are where a key
+    /// acked at one barrier is rewritten with an older value before the
+    /// next: the pruned sweep must still match the exhaustive one.
+    #[test]
+    fn pruned_memcached_matches_exhaustive_on_long_buggy_scripts(
+        seed in 1..1_000u64,
+        steps in 64..=96u64,
+    ) {
+        let base = SweepConfig {
+            seed,
+            steps,
+            inject_bug: true,
+            oracle: true,
+            jobs: 1,
+            ..Default::default()
+        };
+        let exhaustive = sweep_app(&base, SweepApp::Memcached);
+        let pruned = sweep_app(&SweepConfig { prune: true, ..base }, SweepApp::Memcached);
+        prop_assert_eq!(exhaustive.images_checked, pruned.images_checked);
+        prop_assert_eq!(exhaustive.bug_attributed, pruned.bug_attributed);
+        prop_assert_eq!(exhaustive.fault_attributed, pruned.fault_attributed);
+        prop_assert_eq!(&exhaustive.violations, &pruned.violations);
+    }
+}

@@ -1,4 +1,4 @@
-//! Crash-state simulation and recovery validation.
+//! Crash-state simulation: crash policies and the images they take.
 //!
 //! A crash freezes the durable image plus an *arbitrary subset* of
 //! not-yet-durable cache lines (eviction order is unpredictable). The
@@ -16,7 +16,8 @@
 //! This is the stand-in for the paper's manual bug validation ("we manually
 //! reproduced and validated all these 24 new bugs", §5.1): run the buggy
 //! program, crash it under a policy, and check the recovered state for
-//! consistency.
+//! consistency. The crash explorer in `nvm-apps` does that systematically:
+//! every crash point under every policy, rebooted and recovered.
 
 use crate::pool::{Line, PAddr, PmemPool, CACHE_LINE};
 use rand::rngs::StdRng;
@@ -277,217 +278,5 @@ mod tests {
         let rebooted = img.reboot(2);
         assert_eq!(rebooted.read_u64(PAddr(128)), 99);
         assert_eq!(rebooted.non_durable_lines(), 0);
-    }
-}
-
-/// Systematic crash exploration (in the spirit of Yat's exhaustive testing,
-/// which the paper compares against): run a workload repeatedly, crash it
-/// at every step under several eviction policies, and check a user
-/// invariant on every recovered image.
-///
-/// The driver returns `true` when it executed to completion (no more crash
-/// points); the invariant receives the crash image and the step at which
-/// the crash hit.
-pub struct CrashMatrix {
-    /// Random eviction seeds to try per crash point (in addition to the
-    /// deterministic pessimistic/optimistic/pending policies).
-    pub random_seeds: u64,
-    /// Upper bound on crash points to explore.
-    pub max_steps: u64,
-}
-
-impl Default for CrashMatrix {
-    fn default() -> Self {
-        CrashMatrix { random_seeds: 8, max_steps: 256 }
-    }
-}
-
-/// Result of a matrix sweep.
-#[derive(Debug, Clone, Default)]
-pub struct CrashMatrixReport {
-    pub crash_points: u64,
-    pub images_checked: u64,
-    /// (step, policy description) of every invariant violation.
-    pub violations: Vec<(u64, String)>,
-}
-
-impl CrashMatrix {
-    /// `run(step)` must execute the workload on a fresh pool, crashing
-    /// before `step`, and return `None` if the workload finished before
-    /// reaching `step` (ending the sweep) or `Some(pool)` at a crash.
-    /// `invariant(image)` returns `Err(reason)` on an inconsistent state.
-    pub fn sweep(
-        &self,
-        mut run: impl FnMut(u64) -> Option<PmemPool>,
-        mut invariant: impl FnMut(&CrashImage) -> Result<(), String>,
-    ) -> CrashMatrixReport {
-        let mut report = CrashMatrixReport::default();
-        for step in 0..self.max_steps {
-            let Some(pool) = run(step) else { break };
-            report.crash_points += 1;
-            let mut policies: Vec<(String, CrashPolicy)> = vec![
-                ("pessimistic".into(), CrashPolicy::Pessimistic),
-                ("optimistic".into(), CrashPolicy::Optimistic),
-                ("pending-only".into(), CrashPolicy::PendingOnly),
-            ];
-            for seed in 0..self.random_seeds {
-                policies.push((format!("random({seed})"), CrashPolicy::Random(seed)));
-            }
-            for (name, policy) in policies {
-                let image = policy.apply(&pool);
-                report.images_checked += 1;
-                if let Err(reason) = invariant(&image) {
-                    report.violations.push((step, format!("{name}: {reason}")));
-                }
-            }
-        }
-        report
-    }
-}
-
-#[cfg(test)]
-mod matrix_tests {
-    use super::*;
-    use crate::heap::PmemHeap;
-    use crate::pool::PoolConfig;
-    use crate::tx::TxManager;
-
-    /// A transactional two-field update is atomic under the full matrix.
-    #[test]
-    fn matrix_validates_transactional_atomicity() {
-        let run = |step: u64| -> Option<PmemPool> {
-            let pool = PmemPool::new(PoolConfig { size: 1 << 16, shards: 2, ..Default::default() });
-            let heap = PmemHeap::open(&pool);
-            let log = heap.alloc(4096);
-            let obj = heap.alloc(64);
-            let txm = TxManager::new(&pool, log, 4096);
-            // The "workload", with a crash check between every operation.
-            let mut op = 0u64;
-            let mut crashed = false;
-            let mut guard = |crashed: &mut bool| {
-                if op == step {
-                    *crashed = true;
-                }
-                op += 1;
-                !*crashed
-            };
-            'work: {
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.write_u64(obj, 5);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.write_u64(obj.offset(8), 5);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.persist(obj, 16);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                txm.begin();
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                txm.add(obj, 16).unwrap();
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.write_u64(obj, 3);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.write_u64(obj.offset(8), 7);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                txm.commit();
-            }
-            if crashed {
-                Some(pool)
-            } else {
-                None
-            }
-        };
-        let obj_base = 64 + 4096;
-        let invariant = |img: &CrashImage| -> Result<(), String> {
-            let log_base = crate::pool::PAddr(64);
-            let a = img.read_u64(crate::pool::PAddr(obj_base));
-            let b = img.read_u64(crate::pool::PAddr(obj_base + 8));
-            // Recovery first (roll back active log), THEN check.
-            let pool = img.reboot(2);
-            let txm = TxManager::attach(&pool, log_base, 4096);
-            txm.recover();
-            let a = if txm.depth() == 0 { pool.read_u64(crate::pool::PAddr(obj_base)) } else { a };
-            let b =
-                if txm.depth() == 0 { pool.read_u64(crate::pool::PAddr(obj_base + 8)) } else { b };
-            let valid = [(0, 0), (5, 0), (0, 5), (5, 5), (3, 7)];
-            if valid.contains(&(a, b)) {
-                Ok(())
-            } else {
-                Err(format!("torn state a={a} b={b}"))
-            }
-        };
-        let report = CrashMatrix::default().sweep(run, invariant);
-        assert!(report.crash_points >= 7, "{report:?}");
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    /// A non-transactional two-field update is caught as torn by the
-    /// matrix (the fields are on different cache lines).
-    #[test]
-    fn matrix_catches_non_atomic_updates() {
-        let run = |step: u64| -> Option<PmemPool> {
-            let pool = PmemPool::new(PoolConfig { size: 1 << 16, shards: 2, ..Default::default() });
-            let heap = PmemHeap::open(&pool);
-            let obj = heap.alloc(128); // two cache lines
-            let mut op = 0u64;
-            let mut crashed = false;
-            let mut guard = |crashed: &mut bool| {
-                if op == step {
-                    *crashed = true;
-                }
-                op += 1;
-                !*crashed
-            };
-            'work: {
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.write_u64(obj, 1);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.persist(obj, 8);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.write_u64(obj.offset(64), 1);
-                if !guard(&mut crashed) {
-                    break 'work;
-                }
-                pool.persist(obj.offset(64), 8);
-            }
-            if crashed {
-                Some(pool)
-            } else {
-                None
-            }
-        };
-        let obj_base = 64;
-        let invariant = |img: &CrashImage| -> Result<(), String> {
-            let a = img.read_u64(crate::pool::PAddr(obj_base));
-            let b = img.read_u64(crate::pool::PAddr(obj_base + 64));
-            // Pretend the application requires a == b always.
-            if a == b {
-                Ok(())
-            } else {
-                Err(format!("a={a} b={b}"))
-            }
-        };
-        let report = CrashMatrix::default().sweep(run, invariant);
-        assert!(!report.violations.is_empty(), "the torn intermediate state must be observable");
     }
 }

@@ -17,8 +17,9 @@
 //!   memory over the persistent address space, and the happens-before
 //!   WAW/RAW detector DeepMC's dynamic checker uses for strand persistency
 //!   (the stand-in for the paper's 458-line ThreadSanitizer customization).
-//! * [`crash`] — crash-state sampling and recovery validation helpers used
-//!   to reproduce the paper's manual bug validation.
+//! * [`crash`] — crash policies and the crash images they take, which the
+//!   crash explorer in `nvm-apps` reboots, recovers and validates to
+//!   reproduce the paper's manual bug validation.
 //! * [`fault`] — deterministic fault injection: torn stores, silently
 //!   dropped `clwb`s, and poisoned lines surfacing as media errors, so
 //!   recovery code can be validated against hardware-level failure modes
@@ -34,7 +35,7 @@ pub mod shadow;
 pub mod tx;
 
 pub use clock::VectorClock;
-pub use crash::{CrashImage, CrashMatrix, CrashMatrixReport, CrashPolicy};
+pub use crash::{CrashImage, CrashPolicy};
 pub use fault::{FaultConfig, FaultPlan, FaultStats, PmemError};
 pub use heap::PmemHeap;
 pub use pool::{PAddr, PmemPool, PoolConfig, PoolStats, CACHE_LINE};

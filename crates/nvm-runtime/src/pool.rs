@@ -489,12 +489,6 @@ impl PmemPool {
         let lat_start = obs::active().then(Instant::now);
         let first = addr.line();
         let last = PAddr(addr.0 + len - 1).line();
-        if obs::active() {
-            obs::instant_args(
-                "pmem.flush",
-                vec![("addr", format!("{:#x}", addr.0)), ("lines", (last - first + 1).to_string())],
-            );
-        }
         if self.flush_cost > Duration::ZERO {
             busy_wait(self.flush_cost * (last - first + 1) as u32);
         }
@@ -579,9 +573,6 @@ impl PmemPool {
         self.stats.lines_written_back.fetch_add(written_back, Ordering::Relaxed);
         obs::counter("pmem.fences", 1);
         obs::counter("pmem.lines_written_back", written_back);
-        if obs::active() {
-            obs::instant_args("pmem.fence", vec![("written_back", written_back.to_string())]);
-        }
         if self.writeback_cost > Duration::ZERO && written_back > 0 {
             busy_wait(self.writeback_cost * written_back as u32);
         }

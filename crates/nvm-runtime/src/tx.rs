@@ -233,6 +233,77 @@ mod tests {
         assert_eq!(img.read_u64(obj), 77);
     }
 
+    /// The three deterministic crash policies plus eight random evictions.
+    fn every_policy() -> Vec<CrashPolicy> {
+        let mut policies =
+            vec![CrashPolicy::Pessimistic, CrashPolicy::Optimistic, CrashPolicy::PendingOnly];
+        policies.extend((0..8).map(CrashPolicy::Random));
+        policies
+    }
+
+    #[test]
+    fn tx_update_is_atomic_at_every_crash_point() {
+        // Persist (5, 5) without a transaction, then update it to (3, 7)
+        // in one, crashing before every operation (inside the
+        // transaction too) and after the last, under every policy.
+        const OPS: usize = 8;
+        for crash_at in 0..=OPS {
+            let p = pool();
+            let (heap, log) = setup(&p);
+            let obj = heap.alloc(64);
+            let tm = TxManager::new(&p, log, LOG_CAP);
+            for op in 0..crash_at {
+                match op {
+                    0 => p.write_u64(obj, 5),
+                    1 => p.write_u64(obj.offset(8), 5),
+                    2 => p.persist(obj, 16),
+                    3 => tm.begin(),
+                    4 => tm.add(obj, 16).unwrap(),
+                    5 => p.write_u64(obj, 3),
+                    6 => p.write_u64(obj.offset(8), 7),
+                    _ => tm.commit(),
+                }
+            }
+            for policy in every_policy() {
+                let rebooted = policy.apply(&p).reboot(4);
+                TxManager::attach(&rebooted, log, LOG_CAP).recover();
+                let state = (rebooted.read_u64(obj), rebooted.read_u64(obj.offset(8)));
+                assert!(
+                    [(0, 0), (5, 0), (0, 5), (5, 5), (3, 7)].contains(&state),
+                    "crash before op {crash_at} under {policy:?}: torn state {state:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn untransacted_two_line_update_is_torn_at_some_crash_point() {
+        // Two fields on different cache lines, each persisted on its own:
+        // some crash state keeps the first update without the second.
+        let mut torn = Vec::new();
+        for crash_at in 0..=4 {
+            let p = pool();
+            let (heap, _) = setup(&p);
+            let obj = heap.alloc(128);
+            for op in 0..crash_at {
+                match op {
+                    0 => p.write_u64(obj, 1),
+                    1 => p.persist(obj, 8),
+                    2 => p.write_u64(obj.offset(64), 1),
+                    _ => p.persist(obj.offset(64), 8),
+                }
+            }
+            for policy in every_policy() {
+                let img = policy.apply(&p);
+                let state = (img.read_u64(obj), img.read_u64(obj.offset(64)));
+                if state.0 != state.1 {
+                    torn.push((crash_at, state));
+                }
+            }
+        }
+        assert!(torn.contains(&(2, (1, 0))), "the torn intermediate state must show: {torn:?}");
+    }
+
     #[test]
     fn crash_mid_tx_rolls_back_on_recovery() {
         let p = pool();
