@@ -89,8 +89,8 @@ impl Event {
 struct Flushed {
     worker: u32,
     events: Vec<Event>,
-    counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    counters: Vec<(&'static str, u64)>,
+    hists: Vec<(&'static str, Histogram)>,
 }
 
 struct Inner {
@@ -115,10 +115,25 @@ struct ThreadCtx {
     worker: u32,
     depth: u32,
     events: Vec<Event>,
-    counters: BTreeMap<&'static str, u64>,
+    counters: Vec<(&'static str, u64)>,
     /// Direct latency samples ([`latency`]) for hot sites that are too
     /// frequent to record as events (pmem flush/fence).
-    hists: BTreeMap<&'static str, Histogram>,
+    hists: Vec<(&'static str, Histogram)>,
+}
+
+/// The entry for `name` in a per-thread buffer, found by address: a
+/// handful of names recur on hot paths, and the same name at two
+/// addresses only splits its entry until [`Recorder::finish`] merges
+/// by content.
+fn entry<'a, T: Default>(slots: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
+    let i = match slots.iter().position(|(k, _)| std::ptr::eq(*k, name)) {
+        Some(i) => i,
+        None => {
+            slots.push((name, T::default()));
+            slots.len() - 1
+        }
+    };
+    &mut slots[i].1
 }
 
 thread_local! {
@@ -153,8 +168,8 @@ impl Recorder {
                 worker,
                 depth: 0,
                 events: Vec::new(),
-                counters: BTreeMap::new(),
-                hists: BTreeMap::new(),
+                counters: Vec::new(),
+                hists: Vec::new(),
             });
             AttachGuard { attached: true }
         })
@@ -321,7 +336,7 @@ pub fn latency(name: &'static str, dur_us: u64) {
     CTX.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(ctx) = slot.as_mut() else { return };
-        ctx.hists.entry(name).or_default().record(dur_us);
+        entry(&mut ctx.hists, name).record(dur_us);
     });
 }
 
@@ -333,7 +348,7 @@ pub fn counter(name: &'static str, delta: u64) {
     CTX.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(ctx) = slot.as_mut() else { return };
-        *ctx.counters.entry(name).or_insert(0) += delta;
+        *entry(&mut ctx.counters, name) += delta;
     });
 }
 
@@ -576,6 +591,23 @@ impl ObsData {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_name_at_two_addresses_merges_by_content() {
+        let rec = Recorder::new();
+        {
+            let _g = rec.attach(0);
+            let copy: &'static str = Box::leak(String::from("x.items").into_boxed_str());
+            counter("x.items", 2);
+            counter(copy, 3);
+            latency("x.items", 1);
+            latency(copy, 4);
+        }
+        let data = rec.finish();
+        assert_eq!(data.counters.len(), 1);
+        assert_eq!(data.counter("x.items"), 5);
+        assert_eq!(data.hists["x.items"].count(), 2);
+    }
 
     #[test]
     fn disabled_calls_are_noops() {
