@@ -35,6 +35,5 @@ pub use dsa::{DsaResult, FunctionDsg, PersistKind};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use program::{FuncRef, Program};
 pub use trace::{
-    Addr, FieldSel, MemoStats, ObjId, RootTruncation, Trace, TraceCollector, TraceConfig,
-    TraceEvent,
+    Addr, FieldSel, ObjId, RootTruncation, Trace, TraceCollector, TraceConfig, TraceEvent,
 };

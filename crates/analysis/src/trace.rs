@@ -18,15 +18,12 @@
 
 use crate::callgraph::CallGraph;
 use crate::dsa::{DsaResult, PersistKind};
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHashMap;
 use crate::program::{FuncRef, LocTable, Program};
 use deepmc_pir::{
     Accessor, BlockId, FuncAttr, Inst, LocalId, Operand, Place, SourceLoc, StructId, Symbol,
     Terminator,
 };
-use parking_lot::RwLock;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -234,7 +231,7 @@ impl TraceEvent {
     }
 
     /// Overwrite the event's address in place (used by the object-granular
-    /// checker ablation and by memo-summary replay).
+    /// checker ablation).
     pub fn set_addr(&mut self, addr: Addr) {
         self.obj = addr.obj.0;
         match addr.sel {
@@ -316,19 +313,6 @@ pub struct TraceConfig {
     pub max_paths: usize,
     /// Hard cap on events per trace.
     pub max_trace_len: usize,
-    /// Reuse callee trace summaries across call sites (and roots) instead
-    /// of re-walking callee bodies. Only functions whose behaviour is
-    /// provably independent of caller heap state (no transitive `load`)
-    /// are memoized, and replay is guarded so collected traces are
-    /// bit-identical to the non-memoized walk.
-    pub memoize: bool,
-    /// Minimum callee size (arena instructions) worth summarizing. Small
-    /// callees are cheaper to re-walk than to key, splice and renumber —
-    /// and a summary recorded for a callee that is never called again with
-    /// the same key is pure overhead whatever its size. Paired
-    /// memo-vs-no-memo timing over the bench corpus puts the break-even
-    /// around two dozen instructions; below it, calls always walk inline.
-    pub memo_min_insts: usize,
     /// Wall-clock budget per root. When the deadline passes, the walk
     /// stops forking and returns what it has, marking the root's
     /// [`RootTruncation`] as `timed_out`. Inherently nondeterministic
@@ -337,7 +321,7 @@ pub struct TraceConfig {
     pub root_timeout: Option<Duration>,
     /// Deterministic analogue of `root_timeout`: a cap on walk steps
     /// (block visits) per root. Schedule-independent — the same program
-    /// times out at the same point at any worker count, memoized or not.
+    /// times out at the same point at any worker count.
     pub max_walk_steps: Option<u64>,
 }
 
@@ -348,8 +332,6 @@ impl Default for TraceConfig {
             recursion_bound: 5,
             max_paths: 128,
             max_trace_len: 100_000,
-            memoize: true,
-            memo_min_insts: 24,
             root_timeout: None,
             max_walk_steps: None,
         }
@@ -386,12 +368,6 @@ struct PathState {
     /// Ghost objects created for unresolved pointer loads, keyed by slot so
     /// repeated loads alias.
     ghosts: FxHashMap<Slot, ObjId>,
-    /// Heap writes logged while a callee summary is being recorded
-    /// (in program order; forks with the state like everything else).
-    heap_log: Vec<(Slot, Val)>,
-    /// Nesting depth of active summary recordings; the log is only
-    /// appended to while this is non-zero.
-    recording: u32,
 }
 
 impl PathState {
@@ -399,14 +375,6 @@ impl PathState {
         let id = ObjId(self.objects.len() as u32);
         self.objects.push(info);
         id
-    }
-
-    /// All heap writes go through here so summary recording sees them.
-    fn heap_set(&mut self, slot: Slot, v: Val) {
-        self.heap.insert(slot, v);
-        if self.recording > 0 {
-            self.heap_log.push((slot, v));
-        }
     }
 }
 
@@ -431,127 +399,13 @@ fn env_set(env: &mut Env, l: LocalId, v: Val) {
     env[i] = v;
 }
 
-/// Abstract shape of one call argument, used to key callee summaries.
-/// Object arguments are canonicalized by first occurrence so the key
-/// captures aliasing among arguments and each object's persistence class —
-/// the only properties of a caller object a loadless callee can observe.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ArgSig {
-    Unknown,
-    Int(i64),
-    Null,
-    Obj { canon: u32, persist: PersistKind },
-}
-
-/// Key of one memoized callee collection: which function, at what inlining
-/// depth (recursion cut-offs depend on it), with which abstract arguments.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    target: FuncRef,
-    depth: usize,
-    args: Vec<ArgSig>,
-}
-
-/// A new object allocated by a memoized callee. The creation index is
-/// call-site dependent (object names embed it), so the summary stores the
-/// name minus its trailing index and the splice regenerates it.
-#[derive(Debug, Clone)]
-struct MemoObj {
-    persist: PersistKind,
-    struct_ty: Option<(u32, StructId)>,
-    name_prefix: String,
-}
-
-/// One path end of a memoized callee. `ObjId`s in `events`, `heap_log` and
-/// `ret` are placeholders: ids below the summary's canonical-argument count
-/// name argument objects, the rest name `new_objs` entries in order.
-#[derive(Debug, Clone)]
-struct MemoEnd {
-    new_objs: Vec<MemoObj>,
-    events: Vec<TraceEvent>,
-    heap_log: Vec<(Slot, Val)>,
-    ret: Val,
-}
-
-/// A memoized callee collection: every bounded path end plus the resources
-/// the walk consumed, so replay can prove it would behave identically.
-#[derive(Debug)]
-struct MemoSummary {
-    /// Path-budget decrements the collection performed.
-    forks: usize,
-    /// High-water mark of events appended on any path prefix (including
-    /// paths later abandoned by the loop bound).
-    max_added: usize,
-    /// Walk steps (block visits) the inline collection performed; replay
-    /// charges the same amount so step-budget timeouts fire at the same
-    /// point whether or not a summary was spliced.
-    steps: u64,
-    ends: Vec<MemoEnd>,
-}
-
-/// Number of lock shards in the concurrent memo table. A small power of
-/// two: contention is per-key-hash, and worker pools are at most core
-/// count wide.
-const MEMO_SHARDS: usize = 16;
-
-/// Concurrent callee-summary table: a fixed set of `RwLock`-guarded
-/// `HashMap` shards keyed by the summary key's hash. Workers on different
-/// roots share summaries through it; the only cross-thread race is two
-/// workers recording the same key, which is benign because recorded
-/// summaries for a key are identical (the record guards reject any walk
-/// whose outcome depended on budget or length headroom) — `insert` keeps
-/// the first.
-struct MemoTable {
-    shards: Vec<RwLock<FxHashMap<MemoKey, Arc<MemoSummary>>>>,
-}
-
-impl MemoTable {
-    fn new() -> Self {
-        MemoTable { shards: (0..MEMO_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect() }
-    }
-
-    fn shard(&self, key: &MemoKey) -> &RwLock<FxHashMap<MemoKey, Arc<MemoSummary>>> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % MEMO_SHARDS]
-    }
-
-    fn get(&self, key: &MemoKey) -> Option<Arc<MemoSummary>> {
-        self.shard(key).read().get(key).cloned()
-    }
-
-    fn insert(&self, key: MemoKey, sum: Arc<MemoSummary>) {
-        self.shard(&key).write().entry(key).or_insert(sum);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-}
-
-/// The collector. `Sync`: concurrent `collect_root` calls from a worker
-/// pool share the memo table and aggregate counters; everything mutable
-/// per path lives in [`PathState`]/[`WalkCtx`] owned by one walk.
+/// The collector. It holds no mutable state, so a worker pool can share
+/// one across concurrent `collect_root` calls: everything mutable lives in
+/// the [`PathState`]/[`WalkCtx`] owned by one root's walk.
 pub struct TraceCollector<'p> {
     program: &'p Program,
     dsa: &'p DsaResult,
     pub config: TraceConfig,
-    /// Branch forks skipped because `max_paths` ran out (one successor
-    /// was chosen heuristically instead of exploring both).
-    paths_pruned: AtomicU64,
-    /// Events dropped because a path hit `max_trace_len`.
-    events_truncated: AtomicU64,
-    /// Callee summaries, shared across call sites, roots, and worker
-    /// threads.
-    memo: MemoTable,
-    /// Per-function memoizability (no transitive `load`), computed lazily.
-    /// Dense by program function index: 0 = unknown, 1 = no, 2 = yes.
-    /// Races are benign (the answer is a pure program property), so plain
-    /// relaxed atomics replace the lock.
-    memoizable: Vec<AtomicU8>,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    memo_skips: AtomicU64,
 }
 
 /// Per-walk mutable bookkeeping, threaded by `&mut` through one root's
@@ -560,15 +414,12 @@ pub struct TraceCollector<'p> {
 struct WalkCtx {
     /// Remaining path budget for this root.
     budget: usize,
-    /// High-water mark of `events.len()` since the innermost recording
-    /// began; gives each summary its `max_added`.
-    events_hw: usize,
-    /// Forks pruned during this walk.
+    /// Branch forks skipped because the path budget ran out (one successor
+    /// was chosen heuristically instead of exploring both).
     pruned: u64,
-    /// Events truncated during this walk.
+    /// Events dropped because a path hit `max_trace_len`.
     truncated: u64,
-    /// Walk steps (block visits) consumed, including steps charged for
-    /// spliced summaries.
+    /// Walk steps (block visits) consumed.
     steps: u64,
     /// Deterministic step cap ([`TraceConfig::max_walk_steps`]).
     step_limit: Option<u64>,
@@ -608,34 +459,6 @@ pub struct RootTruncation {
     pub timed_out: bool,
 }
 
-/// Everything needed to turn an inline callee walk into a stored summary.
-struct RecordCtx {
-    key: MemoKey,
-    arg_objs: Vec<ObjId>,
-    incoming_objs: usize,
-    incoming_events: usize,
-    log_start: usize,
-    budget_before: usize,
-    pruned_before: u64,
-    truncated_before: u64,
-    steps_before: u64,
-    hw_saved: usize,
-}
-
-/// Counters describing summary reuse in one collector's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Calls served by splicing a stored summary.
-    pub hits: u64,
-    /// Calls walked inline while recording a fresh summary.
-    pub misses: u64,
-    /// Calls with a stored summary whose replay guards failed (budget or
-    /// trace-length headroom), walked inline instead.
-    pub skips: u64,
-    /// Distinct summaries stored.
-    pub summaries: u64,
-}
-
 /// Result of walking a function body to a `ret`: final state plus the
 /// returned value.
 struct WalkEnd {
@@ -645,38 +468,7 @@ struct WalkEnd {
 
 impl<'p> TraceCollector<'p> {
     pub fn new(program: &'p Program, dsa: &'p DsaResult, config: TraceConfig) -> Self {
-        TraceCollector {
-            program,
-            dsa,
-            config,
-            paths_pruned: AtomicU64::new(0),
-            events_truncated: AtomicU64::new(0),
-            memo: MemoTable::new(),
-            memoizable: (0..program.num_funcs()).map(|_| AtomicU8::new(0)).collect(),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            memo_skips: AtomicU64::new(0),
-        }
-    }
-
-    /// Coverage lost to exploration bounds in all collections so far:
-    /// `(paths pruned, events truncated)`. Non-zero values mean the
-    /// report is incomplete and the caller should say so.
-    pub fn truncation(&self) -> (u64, u64) {
-        (self.paths_pruned.load(Ordering::Relaxed), self.events_truncated.load(Ordering::Relaxed))
-    }
-
-    /// Summary-reuse counters for all collections so far. Hit/miss/skip
-    /// counts are schedule-dependent under a parallel run (workers race to
-    /// record a summary first); they feed diagnostics and benchmarks only,
-    /// never reports.
-    pub fn memo_stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.memo_hits.load(Ordering::Relaxed),
-            misses: self.memo_misses.load(Ordering::Relaxed),
-            skips: self.memo_skips.load(Ordering::Relaxed),
-            summaries: self.memo.len() as u64,
-        }
+        TraceCollector { program, dsa, config }
     }
 
     /// The analysis roots, in collection order: call-graph roots plus
@@ -709,10 +501,8 @@ impl<'p> TraceCollector<'p> {
         self.collect_root_counted(root).0
     }
 
-    /// Like [`TraceCollector::collect_root`], also returning the pruning
-    /// and truncation this root alone incurred — the deltas a parallel
-    /// caller cannot recover from the collector-wide [`TraceCollector::truncation`]
-    /// totals (which other workers advance concurrently).
+    /// Like [`TraceCollector::collect_root`], also returning the pruning,
+    /// truncation and budget outcome of this root's walk.
     pub fn collect_root_counted(&self, root: FuncRef) -> (Vec<Trace>, RootTruncation) {
         let f = self.program.func(root);
         let root_name: Arc<str> = Arc::from(f.name.as_str());
@@ -721,8 +511,6 @@ impl<'p> TraceCollector<'p> {
             heap: FxHashMap::default(),
             events: Vec::new(),
             ghosts: FxHashMap::default(),
-            heap_log: Vec::new(),
-            recording: 0,
         };
 
         // Parameters become ghost objects with DSA-supplied persistence.
@@ -758,7 +546,6 @@ impl<'p> TraceCollector<'p> {
 
         let mut ctx = WalkCtx {
             budget: self.config.max_paths,
-            events_hw: 0,
             pruned: 0,
             truncated: 0,
             steps: 0,
@@ -767,8 +554,6 @@ impl<'p> TraceCollector<'p> {
             timed_out: false,
         };
         let ends = self.walk_function(root, env, st, 0, &mut ctx);
-        self.paths_pruned.fetch_add(ctx.pruned, Ordering::Relaxed);
-        self.events_truncated.fetch_add(ctx.truncated, Ordering::Relaxed);
         let truncation = RootTruncation {
             paths_pruned: ctx.pruned,
             events_truncated: ctx.truncated,
@@ -858,16 +643,13 @@ impl<'p> TraceCollector<'p> {
             if let Inst::Call { dst, callee, args } = &si.inst {
                 let mut next: Vec<(Env, PathState)> = Vec::new();
                 for (env, st) in states {
-                    next.extend(
-                        self.exec_call(fr, si.loc, dst, *callee, args, env, st, depth, ctx),
-                    );
+                    next.extend(self.exec_call(fr, dst, *callee, args, env, st, depth, ctx));
                 }
                 states = next;
             } else {
                 for (env, st) in &mut states {
                     if st.events.len() < self.config.max_trace_len {
                         self.exec_simple(fr, si.loc, &si.inst, env, st);
-                        ctx.events_hw = ctx.events_hw.max(st.events.len());
                     } else {
                         ctx.truncated += 1;
                     }
@@ -1082,7 +864,7 @@ impl<'p> TraceCollector<'p> {
             Inst::Store { place, value } => {
                 let v = eval(value, env);
                 if let Some((addr, obj_persist)) = self.resolve(place, env, st) {
-                    st.heap_set(slot_key(&addr), v);
+                    st.heap.insert(slot_key(&addr), v);
                     if obj_persist != PersistKind::Volatile {
                         st.events.push(TraceEvent::write(addr, obj_persist, self.evloc(fr, loc)));
                     }
@@ -1112,7 +894,7 @@ impl<'p> TraceCollector<'p> {
             Inst::MemSetPersist { place, value } => {
                 let v = eval(value, env);
                 if let Some((addr, obj_persist)) = self.resolve(place, env, st) {
-                    st.heap_set(slot_key(&addr), v);
+                    st.heap.insert(slot_key(&addr), v);
                     if obj_persist != PersistKind::Volatile {
                         let l = self.evloc(fr, loc);
                         st.events.push(TraceEvent::write(addr, obj_persist, l));
@@ -1153,23 +935,13 @@ impl<'p> TraceCollector<'p> {
         }
     }
 
-    /// Execute a call, splicing callee paths into the caller's.
-    ///
-    /// When memoization is on and the callee is provably caller-heap
-    /// independent, the first call per [`MemoKey`] walks inline while
-    /// recording a summary, and later calls splice the summary: new
-    /// objects are re-interned at the caller's next ids (names
-    /// regenerated), placeholder `ObjId`s in events/heap/ret are renumbered
-    /// to the call site's argument objects, and the recorded fork cost is
-    /// charged to the path budget. Replay is refused (falling back to the
-    /// inline walk) whenever the recorded walk's budget or trace-length
-    /// interactions could differ at this call site, so collected traces are
-    /// identical with memoization on or off.
+    /// Execute a call by walking the callee body inline: one output state
+    /// per bounded callee path, with the call's destination bound to that
+    /// path's return value.
     #[allow(clippy::too_many_arguments)]
     fn exec_call(
         &self,
         fr: FuncRef,
-        loc: SourceLoc,
         dst: &Option<LocalId>,
         callee: Symbol,
         args: &[Operand],
@@ -1193,114 +965,13 @@ impl<'p> TraceCollector<'p> {
             }
             return vec![(env, st)];
         }
-        let _ = loc;
-
-        let arg_vals: Vec<Val> = args.iter().map(|a| eval(a, &env)).collect();
-
-        if self.config.memoize
-            && callee_fn.inst_count() >= self.config.memo_min_insts
-            && self.is_memoizable(target)
-        {
-            let (key, arg_objs) = memo_key(target, depth, &arg_vals, &st);
-            let cached = self.memo.get(&key);
-            return match cached {
-                Some(sum) => {
-                    // Replay guards: every fork during collection saw
-                    // budget > 1, and every per-instruction length check
-                    // passed; require the same at this call site. A step
-                    // budget additionally requires headroom for every
-                    // step the inline walk would have taken, so the
-                    // timeout point is identical with and without memo.
-                    let steps_fit =
-                        !ctx.timed_out && ctx.step_limit.is_none_or(|l| ctx.steps + sum.steps <= l);
-                    if steps_fit
-                        && ctx.budget > sum.forks
-                        && st.events.len() + sum.max_added < self.config.max_trace_len
-                    {
-                        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        ctx.budget -= sum.forks;
-                        ctx.steps += sum.steps;
-                        self.splice(&sum, dst, &env, &st, &arg_objs, ctx)
-                    } else {
-                        self.memo_skips.fetch_add(1, Ordering::Relaxed);
-                        self.inline_call(target, dst, &arg_vals, env, st, depth, ctx, None)
-                    }
-                }
-                None => {
-                    self.memo_misses.fetch_add(1, Ordering::Relaxed);
-                    self.inline_call(
-                        target,
-                        dst,
-                        &arg_vals,
-                        env,
-                        st,
-                        depth,
-                        ctx,
-                        Some((key, arg_objs)),
-                    )
-                }
-            };
+        let mut callee_env: Env = new_env(callee_fn);
+        for (i, a) in args.iter().enumerate() {
+            env_set(&mut callee_env, LocalId(i as u32), eval(a, &env));
         }
-        self.inline_call(target, dst, &arg_vals, env, st, depth, ctx, None)
-    }
-
-    /// Walk a callee body inline (the pre-memoization behaviour), optionally
-    /// recording a summary for later splicing.
-    #[allow(clippy::too_many_arguments)]
-    fn inline_call(
-        &self,
-        target: FuncRef,
-        dst: &Option<LocalId>,
-        arg_vals: &[Val],
-        env: Env,
-        mut st: PathState,
-        depth: usize,
-        ctx: &mut WalkCtx,
-        record: Option<(MemoKey, Vec<ObjId>)>,
-    ) -> Vec<(Env, PathState)> {
-        let mut callee_env: Env = new_env(self.program.func(target));
-        for (i, v) in arg_vals.iter().enumerate() {
-            env_set(&mut callee_env, LocalId(i as u32), *v);
-        }
-        let rc = record.map(|(key, arg_objs)| {
-            st.recording += 1;
-            let rc = RecordCtx {
-                key,
-                arg_objs,
-                incoming_objs: st.objects.len(),
-                incoming_events: st.events.len(),
-                log_start: st.heap_log.len(),
-                budget_before: ctx.budget,
-                pruned_before: ctx.pruned,
-                truncated_before: ctx.truncated,
-                steps_before: ctx.steps,
-                hw_saved: ctx.events_hw,
-            };
-            ctx.events_hw = st.events.len();
-            rc
-        });
-        let recording = rc.is_some();
-        let ends = self.walk_block(
-            target,
-            deepmc_pir::Function::ENTRY,
-            callee_env,
-            st,
-            vec![0; self.program.func(target).blocks.len()],
-            depth + 1,
-            ctx,
-        );
-        if let Some(rc) = &rc {
-            self.finish_recording(rc, &ends, ctx);
-            ctx.events_hw = ctx.events_hw.max(rc.hw_saved);
-        }
-        ends.into_iter()
-            .map(|mut end| {
-                if recording {
-                    end.st.recording -= 1;
-                    if end.st.recording == 0 {
-                        end.st.heap_log.clear();
-                    }
-                }
+        self.walk_function(target, callee_env, st, depth + 1, ctx)
+            .into_iter()
+            .map(|end| {
                 let mut env = env.clone();
                 if let Some(d) = dst {
                     env_set(&mut env, *d, end.ret);
@@ -1308,183 +979,6 @@ impl<'p> TraceCollector<'p> {
                 (env, end.st)
             })
             .collect()
-    }
-
-    /// Is `fr`'s walk independent of caller heap state? True when neither
-    /// it nor any transitively reachable defined callee contains a `load`
-    /// — the only instruction that reads heap slots or mints ghost
-    /// objects. Unknown externs only havoc their destination, so they are
-    /// fine. Cached per function.
-    /// Read the cached memoizability verdict, if already computed.
-    fn memo_cached(&self, fr: FuncRef) -> Option<bool> {
-        match self.memoizable[self.program.dense_index(fr) as usize].load(Ordering::Relaxed) {
-            0 => None,
-            1 => Some(false),
-            _ => Some(true),
-        }
-    }
-
-    fn is_memoizable(&self, fr: FuncRef) -> bool {
-        if let Some(b) = self.memo_cached(fr) {
-            return b;
-        }
-        let mut visiting = Vec::new();
-        let ok = self.loadless(fr, &mut visiting);
-        // Two workers may race to compute the same function; the answer is
-        // a pure property of the program, so either write is fine.
-        self.memoizable[self.program.dense_index(fr) as usize]
-            .store(if ok { 2 } else { 1 }, Ordering::Relaxed);
-        ok
-    }
-
-    fn loadless(&self, fr: FuncRef, visiting: &mut Vec<FuncRef>) -> bool {
-        if let Some(b) = self.memo_cached(fr) {
-            return b;
-        }
-        if visiting.contains(&fr) {
-            // Back edge: this cycle member contributes no *new* loads; any
-            // load elsewhere in the cycle is found when that body is
-            // scanned on this same DFS.
-            return true;
-        }
-        visiting.push(fr);
-        let f = self.program.func(fr);
-        let mut ok = true;
-        // Load/call presence is block-order independent: scan the flat arena.
-        for si in &f.insts {
-            match &si.inst {
-                Inst::Load { .. } => {
-                    ok = false;
-                    break;
-                }
-                Inst::Call { callee, .. } => {
-                    if let Some(t) = self.program.resolve_sym(fr.module, *callee) {
-                        if !self.program.func(t).blocks.is_empty() && !self.loadless(t, visiting) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        visiting.pop();
-        ok
-    }
-
-    /// Turn a finished inline walk into a stored summary, unless the walk's
-    /// outcome depended on the remaining path budget or trace-length cap
-    /// (pruning/truncation observed) or was cut short by a walk budget
-    /// (the partial ends are not the callee's true behaviour), or an end
-    /// references a caller object that is not an argument (cannot happen
-    /// for loadless callees; checked defensively).
-    fn finish_recording(&self, ctx: &RecordCtx, ends: &[WalkEnd], wctx: &WalkCtx) {
-        if wctx.timed_out
-            || wctx.pruned != ctx.pruned_before
-            || wctx.truncated != ctx.truncated_before
-        {
-            return;
-        }
-        let n_args = ctx.arg_objs.len() as u32;
-        let mut rev: FxHashMap<ObjId, u32> = FxHashMap::default();
-        for (i, o) in ctx.arg_objs.iter().enumerate() {
-            rev.insert(*o, i as u32);
-        }
-        let mut remap = |id: ObjId| -> Option<ObjId> {
-            if (id.0 as usize) < ctx.incoming_objs {
-                rev.get(&id).map(|c| ObjId(*c))
-            } else {
-                Some(ObjId(n_args + (id.0 - ctx.incoming_objs as u32)))
-            }
-        };
-        let mut sends = Vec::with_capacity(ends.len());
-        for end in ends {
-            let mut new_objs = Vec::with_capacity(end.st.objects.len() - ctx.incoming_objs);
-            for o in &end.st.objects[ctx.incoming_objs..] {
-                let prefix = o.name.trim_end_matches(|c: char| c.is_ascii_digit());
-                new_objs.push(MemoObj {
-                    persist: o.persist,
-                    struct_ty: o.struct_ty,
-                    name_prefix: prefix.to_string(),
-                });
-            }
-            let mut events = Vec::with_capacity(end.st.events.len() - ctx.incoming_events);
-            for ev in &end.st.events[ctx.incoming_events..] {
-                let Some(e) = map_event(ev, &mut remap) else { return };
-                events.push(e);
-            }
-            let mut heap_log = Vec::with_capacity(end.st.heap_log.len() - ctx.log_start);
-            for ((obj, field, idx), v) in &end.st.heap_log[ctx.log_start..] {
-                let Some(obj) = remap(*obj) else { return };
-                let Some(v) = map_val(*v, &mut remap) else { return };
-                heap_log.push(((obj, *field, *idx), v));
-            }
-            let Some(ret) = map_val(end.ret, &mut remap) else { return };
-            sends.push(MemoEnd { new_objs, events, heap_log, ret });
-        }
-        let sum = MemoSummary {
-            forks: ctx.budget_before - wctx.budget,
-            max_added: wctx.events_hw.saturating_sub(ctx.incoming_events),
-            steps: wctx.steps - ctx.steps_before,
-            ends: sends,
-        };
-        self.memo.insert(ctx.key.clone(), Arc::new(sum));
-    }
-
-    /// Replay a summary at a call site: one output state per recorded end,
-    /// with placeholder ids renumbered to this site's argument objects and
-    /// freshly interned new objects.
-    fn splice(
-        &self,
-        sum: &MemoSummary,
-        dst: &Option<LocalId>,
-        env: &Env,
-        st: &PathState,
-        arg_objs: &[ObjId],
-        ctx: &mut WalkCtx,
-    ) -> Vec<(Env, PathState)> {
-        let n_args = arg_objs.len() as u32;
-        let mut out = Vec::with_capacity(sum.ends.len());
-        for end in &sum.ends {
-            let mut st = st.clone();
-            let base = st.objects.len() as u32;
-            for (j, o) in end.new_objs.iter().enumerate() {
-                st.objects.push(ObjInfo {
-                    persist: o.persist,
-                    struct_ty: o.struct_ty,
-                    name: Arc::from(format!("{}{}", o.name_prefix, base as usize + j)),
-                });
-            }
-            let remap = |id: ObjId| -> ObjId {
-                if id.0 < n_args {
-                    arg_objs[id.0 as usize]
-                } else {
-                    ObjId(base + (id.0 - n_args))
-                }
-            };
-            for ev in &end.events {
-                let mut f = |id: ObjId| Some(remap(id));
-                st.events.push(map_event(ev, &mut f).expect("infallible remap"));
-            }
-            ctx.events_hw = ctx.events_hw.max(st.events.len());
-            for ((obj, field, idx), v) in &end.heap_log {
-                let v = match v {
-                    Val::Obj(o) => Val::Obj(remap(*o)),
-                    other => *other,
-                };
-                st.heap_set((remap(*obj), *field, *idx), v);
-            }
-            let mut env = env.clone();
-            if let Some(d) = dst {
-                let ret = match end.ret {
-                    Val::Obj(o) => Val::Obj(remap(o)),
-                    other => other,
-                };
-                env_set(&mut env, *d, ret);
-            }
-            out.push((env, st));
-        }
-        out
     }
 
     /// Resolve a place to an address and the owning object's persistence.
@@ -1509,55 +1003,6 @@ impl<'p> TraceCollector<'p> {
         };
         Some((Addr { obj, sel }, persist))
     }
-}
-
-/// Build the memo key for a call: canonicalize object arguments by first
-/// occurrence (capturing aliasing) and record each one's persistence class.
-/// Returns the key plus the canonical-index → caller [`ObjId`] table used
-/// to renumber placeholders at splice time.
-fn memo_key(
-    target: FuncRef,
-    depth: usize,
-    arg_vals: &[Val],
-    st: &PathState,
-) -> (MemoKey, Vec<ObjId>) {
-    let mut canon: Vec<ObjId> = Vec::new();
-    let args = arg_vals
-        .iter()
-        .map(|v| match v {
-            Val::Unknown => ArgSig::Unknown,
-            Val::Int(n) => ArgSig::Int(*n),
-            Val::Null => ArgSig::Null,
-            Val::Obj(o) => {
-                let idx = canon.iter().position(|c| c == o).unwrap_or_else(|| {
-                    canon.push(*o);
-                    canon.len() - 1
-                });
-                ArgSig::Obj { canon: idx as u32, persist: st.objects[o.0 as usize].persist }
-            }
-        })
-        .collect();
-    (MemoKey { target, depth, args }, canon)
-}
-
-/// Rewrite a value through an object-id map.
-fn map_val(v: Val, f: &mut impl FnMut(ObjId) -> Option<ObjId>) -> Option<Val> {
-    match v {
-        Val::Obj(o) => f(o).map(Val::Obj),
-        other => Some(other),
-    }
-}
-
-/// Rewrite an event's object id through a map; address-free events pass
-/// through unchanged. A struct copy plus one field rewrite — no per-variant
-/// dispatch.
-fn map_event(ev: &TraceEvent, f: &mut impl FnMut(ObjId) -> Option<ObjId>) -> Option<TraceEvent> {
-    let mut out = *ev;
-    if let Some(addr) = ev.addr() {
-        let obj = f(addr.obj)?;
-        out.set_addr(Addr { obj, sel: addr.sel });
-    }
-    Some(out)
 }
 
 /// Slot key for the path heap: unknown-index elements share one slot per
@@ -1942,20 +1387,18 @@ entry:
         let p = Program::single(parse(src).unwrap());
         let cg = CallGraph::build(&p);
         let dsa = DsaResult::analyze(&p, &cg);
-        // `do_write` is tiny; force it past the size threshold so this test
-        // keeps exercising the shared memo table.
-        let cfg = TraceConfig { memo_min_insts: 0, ..Default::default() };
+        let cfg = TraceConfig::default();
         let roots = {
             let tc = TraceCollector::new(&p, &dsa, cfg.clone());
             tc.analysis_roots(&cg)
         };
-        assert!(roots.len() >= 2, "need multiple roots to share the memo table");
+        assert!(roots.len() >= 2, "need multiple roots to collect concurrently");
         let sequential: Vec<(Vec<Trace>, RootTruncation)> = {
             let tc = TraceCollector::new(&p, &dsa, cfg.clone());
             roots.iter().map(|&r| tc.collect_root_counted(r)).collect()
         };
-        // All roots concurrently against ONE shared collector: the memo
-        // table and counters are shared, the traces must not change.
+        // All roots concurrently against ONE shared collector: the traces
+        // must not change.
         let shared = TraceCollector::new(&p, &dsa, cfg);
         let concurrent: Vec<(Vec<Trace>, RootTruncation)> = std::thread::scope(|s| {
             let handles: Vec<_> = roots
@@ -2045,69 +1488,6 @@ d:
         );
         assert_eq!(full, capped);
         assert!(!capped[0].1.timed_out);
-    }
-
-    #[test]
-    fn step_budget_timeout_point_is_memoization_independent() {
-        // A loadless callee called repeatedly: with memoization the later
-        // calls splice a summary instead of walking inline. The step
-        // accounting must make the walk trip at exactly the same point
-        // either way, or step-budget timeouts would be schedule- and
-        // cache-dependent.
-        let src = r#"
-module m
-struct s { a: i64, b: i64 }
-fn wr(%q: ptr s) {
-entry:
-  store %q.a, 2
-  flush %q.a
-  ret
-}
-fn root_a(%c: i64) {
-entry:
-  %x = palloc s
-  call wr(%x)
-  call wr(%x)
-  call wr(%x)
-  br %c, t, f
-t:
-  store %x.b, 1
-  jmp d
-f:
-  jmp d
-d:
-  fence
-  ret
-}
-fn root_b() {
-entry:
-  %y = palloc s
-  call wr(%y)
-  call wr(%y)
-  ret
-}
-"#;
-        for limit in 1..=24u64 {
-            let memo = collect_counted(
-                src,
-                TraceConfig {
-                    max_walk_steps: Some(limit),
-                    memoize: true,
-                    memo_min_insts: 0,
-                    ..Default::default()
-                },
-            );
-            let plain = collect_counted(
-                src,
-                TraceConfig {
-                    max_walk_steps: Some(limit),
-                    memoize: false,
-                    memo_min_insts: 0,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(memo, plain, "walk diverged under memoization at step limit {limit}");
-        }
     }
 
     #[test]

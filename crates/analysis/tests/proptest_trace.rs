@@ -1,10 +1,7 @@
 //! Property tests for the trace layer: the `Addr` overlap/coverage
-//! algebra the checking rules are built on, and exactness of memoized
-//! (summary-spliced) trace collection against plain call inlining.
+//! algebra the checking rules are built on.
 
-use deepmc_analysis::{
-    Addr, CallGraph, DsaResult, FieldSel, ObjId, Program, TraceCollector, TraceConfig,
-};
+use deepmc_analysis::{Addr, FieldSel, ObjId};
 use proptest::prelude::*;
 
 fn sel_strategy() -> impl Strategy<Value = FieldSel> {
@@ -61,210 +58,5 @@ proptest! {
         prop_assert!(array.covers(&unknown) && array.covers(&elem));
         prop_assert!(!unknown.covers(&array));
         prop_assert!(!unknown.covers(&elem));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Memoization equivalence: for arbitrary generated call-heavy programs,
-// collection with callee-summary memoization must reproduce the plain
-// inlined traces *exactly* (same events, object names, field counts).
-
-/// One instruction inside a generated callee body.
-#[derive(Debug, Clone)]
-enum COp {
-    Store(u8, i64),
-    Flush(u8),
-    Persist(u8),
-    Fence,
-    /// Call a lower-numbered callee (keeps the call graph acyclic),
-    /// forwarding our pointer and either our i64 param or a constant.
-    Call(u8, Option<i64>),
-}
-
-fn cop_strategy() -> impl Strategy<Value = COp> {
-    let field = 0u8..3;
-    prop_oneof![
-        (field.clone(), -4i64..5).prop_map(|(f, v)| COp::Store(f, v)),
-        field.clone().prop_map(COp::Flush),
-        field.prop_map(COp::Persist),
-        Just(COp::Fence),
-        ((0u8..4), proptest::option::of(-2i64..3)).prop_map(|(c, v)| COp::Call(c, v)),
-    ]
-}
-
-/// A generated callee: ops before the branch, the two branch arms, and a
-/// tail after the join (`br` on the i64 parameter exercises fork
-/// accounting in recorded summaries).
-#[derive(Debug, Clone)]
-struct GenCallee {
-    pre: Vec<COp>,
-    then_arm: Vec<COp>,
-    else_arm: Vec<COp>,
-    branch: bool,
-}
-
-/// Top-level action in `main`.
-#[derive(Debug, Clone)]
-enum MOp {
-    Store(u8, u8, i64),
-    Persist(u8, u8),
-    Fence,
-    Call(u8, u8, i64),
-}
-
-fn mop_strategy() -> impl Strategy<Value = MOp> {
-    let obj = 0u8..2;
-    let field = 0u8..3;
-    prop_oneof![
-        (obj.clone(), field.clone(), -4i64..5).prop_map(|(o, f, v)| MOp::Store(o, f, v)),
-        (obj.clone(), field).prop_map(|(o, f)| MOp::Persist(o, f)),
-        Just(MOp::Fence),
-        (obj, 0u8..4, -2i64..3).prop_map(|(o, c, v)| MOp::Call(o, c, v)),
-    ]
-}
-
-fn callee_strategy() -> impl Strategy<Value = GenCallee> {
-    (
-        proptest::collection::vec(cop_strategy(), 0..4),
-        proptest::collection::vec(cop_strategy(), 0..3),
-        proptest::collection::vec(cop_strategy(), 0..3),
-        any::<bool>(),
-    )
-        .prop_map(|(pre, then_arm, else_arm, branch)| GenCallee {
-            pre,
-            then_arm,
-            else_arm,
-            branch,
-        })
-}
-
-const FIELDS: [&str; 3] = ["a", "b", "c"];
-
-fn emit_ops(src: &mut String, ops: &[COp], callee_idx: usize) {
-    for op in ops {
-        match op {
-            COp::Store(f, v) => {
-                src.push_str(&format!("  store %q.{}, {v}\n", FIELDS[*f as usize % 3]))
-            }
-            COp::Flush(f) => src.push_str(&format!("  flush %q.{}\n", FIELDS[*f as usize % 3])),
-            COp::Persist(f) => src.push_str(&format!("  persist %q.{}\n", FIELDS[*f as usize % 3])),
-            COp::Fence => src.push_str("  fence\n"),
-            COp::Call(c, arg) => {
-                // Only lower-numbered targets exist: keeps generation
-                // acyclic (recursion is bounded anyway, but this keeps the
-                // traces small and the shrink output readable).
-                let target = *c as usize % 3;
-                if target < callee_idx {
-                    match arg {
-                        Some(v) => src.push_str(&format!("  call c{target}(%q, {v})\n")),
-                        None => src.push_str(&format!("  call c{target}(%q, %k)\n")),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Render the generated program as PIR source.
-fn render(callees: &[GenCallee], main_ops: &[MOp]) -> String {
-    let mut src = String::from("module gen\nfile \"gen.c\"\nstruct s { a: i64, b: i64, c: i64 }\n");
-    for (i, c) in callees.iter().enumerate() {
-        src.push_str(&format!("fn c{i}(%q: ptr s, %k: i64) {{\nentry:\n"));
-        emit_ops(&mut src, &c.pre, i);
-        if c.branch {
-            src.push_str("  br %k, t, f\nt:\n");
-            emit_ops(&mut src, &c.then_arm, i);
-            src.push_str("  jmp done\nf:\n");
-            emit_ops(&mut src, &c.else_arm, i);
-            src.push_str("  jmp done\ndone:\n  ret\n}\n");
-        } else {
-            emit_ops(&mut src, &c.then_arm, i);
-            src.push_str("  ret\n}\n");
-        }
-    }
-    src.push_str("fn main() {\nentry:\n  %x = palloc s\n  %y = palloc s\n");
-    for op in main_ops {
-        let obj = |o: &u8| if *o % 2 == 0 { "%x" } else { "%y" };
-        match op {
-            MOp::Store(o, f, v) => {
-                src.push_str(&format!("  store {}.{}, {v}\n", obj(o), FIELDS[*f as usize % 3]))
-            }
-            MOp::Persist(o, f) => {
-                src.push_str(&format!("  persist {}.{}\n", obj(o), FIELDS[*f as usize % 3]))
-            }
-            MOp::Fence => src.push_str("  fence\n"),
-            MOp::Call(o, c, v) => {
-                src.push_str(&format!("  call c{}({}, {v})\n", *c as usize % 3, obj(o)))
-            }
-        }
-    }
-    src.push_str("  ret\n}\n");
-    src
-}
-
-fn collect(program: &Program, memoize: bool) -> Vec<deepmc_analysis::Trace> {
-    let cg = CallGraph::build(program);
-    let dsa = DsaResult::analyze(program, &cg);
-    // Generated callees can be tiny; drop the summary size threshold so
-    // memoization stays exercised on every generated shape.
-    let config = TraceConfig { memoize, memo_min_insts: 0, ..TraceConfig::default() };
-    let collector = TraceCollector::new(program, &dsa, config);
-    collector.collect_program(&cg)
-}
-
-/// Deterministic sanity check that programs of the generated shape hit
-/// the memo table at all — without this the equivalence property could
-/// pass vacuously.
-#[test]
-fn generated_shape_reaches_the_memo_table() {
-    let callees = vec![
-        GenCallee {
-            pre: vec![COp::Store(0, 1), COp::Persist(0)],
-            then_arm: vec![COp::Store(1, 2)],
-            else_arm: vec![COp::Fence],
-            branch: true,
-        };
-        3
-    ];
-    let main_ops = vec![
-        MOp::Call(0, 2, 1),
-        MOp::Call(0, 2, 1),
-        MOp::Call(1, 2, 1),
-        MOp::Call(0, 1, 0),
-        MOp::Call(0, 1, 0),
-    ];
-    let src = render(&callees, &main_ops);
-    let module = deepmc_pir::parse(&src).expect("fixed program parses");
-    let program = Program::single(module);
-    let cg = CallGraph::build(&program);
-    let dsa = DsaResult::analyze(&program, &cg);
-    let collector = TraceCollector::new(
-        &program,
-        &dsa,
-        TraceConfig { memo_min_insts: 0, ..TraceConfig::default() },
-    );
-    let _ = collector.collect_program(&cg);
-    let stats = collector.memo_stats();
-    assert!(stats.summaries > 0, "no summaries recorded: {stats:?}\n{src}");
-    assert!(stats.hits > 0, "no summary reuse: {stats:?}\n{src}");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Memoized collection is an exact replay of inlining: identical
-    /// traces, event for event, name for name.
-    #[test]
-    fn memoized_collection_equals_inlined(
-        callees in proptest::collection::vec(callee_strategy(), 3..4),
-        main_ops in proptest::collection::vec(mop_strategy(), 1..10),
-    ) {
-        let src = render(&callees, &main_ops);
-        let module = deepmc_pir::parse(&src)
-            .unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"));
-        let program = Program::single(module);
-        let inlined = collect(&program, false);
-        let memoized = collect(&program, true);
-        prop_assert_eq!(&memoized, &inlined, "memoized traces diverge for:\n{}", src);
     }
 }

@@ -82,7 +82,7 @@ proptest! {
     ) {
         let mut script = prefix;
         script.extend([DsOp::Add(7), DsOp::Add(8), DsOp::Remove(7)]);
-        while script.len() as u64 % kind.batch() != 0 {
+        while !(script.len() as u64).is_multiple_of(kind.batch()) {
             script.push(DsOp::Add(7));
         }
         for &bug in kind.seeded_bugs() {

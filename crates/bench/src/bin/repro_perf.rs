@@ -4,14 +4,14 @@
 //! For every corpus framework this measures, separately:
 //!
 //! * DSA (call graph + three-phase Data Structure Analysis),
-//! * trace collection with callee-summary memoization on and off,
+//! * trace collection,
 //! * rule application (the checker scan over the collected traces),
 //! * a cold `check_program_cached` run against an empty on-disk cache and
 //!   a warm run against the populated one,
 //!
-//! and records trace/event counts, distinct interned addresses, and the
-//! collector's memoization counters. Results go to stdout as a table and
-//! to `BENCH_analysis.json` for CI artifacts and EXPERIMENTS.md Table 9a.
+//! and records trace/event counts and distinct interned addresses. Results
+//! go to stdout as a table and to `BENCH_analysis.json` for CI artifacts
+//! and EXPERIMENTS.md Table 9a.
 //!
 //! The warm run must not just be faster: the binary asserts the cold and
 //! warm reports render identically, and exits nonzero if the warm wall
@@ -26,19 +26,11 @@
 //! records the points but marks the bar unenforced.
 
 use deepmc::{AnalysisCache, DeepMcConfig, StaticChecker};
-use deepmc_analysis::{CallGraph, DsaResult, Program, TraceCollector, TraceConfig};
+use deepmc_analysis::{CallGraph, DsaResult, Program, TraceCollector};
 use deepmc_corpus::Framework;
 use serde::Serialize;
 use std::collections::HashSet;
 use std::time::Instant;
-
-#[derive(Debug, Serialize)]
-struct MemoCounters {
-    hits: u64,
-    misses: u64,
-    skips: u64,
-    summaries: u64,
-}
 
 /// Aggregate wall time of one obs-layer span name (a pipeline phase).
 #[derive(Debug, Serialize)]
@@ -88,10 +80,8 @@ struct FrameworkBench {
     modules: usize,
     /// Call graph + DSA wall time.
     dsa_ms: f64,
-    /// Trace collection with memoization (the default).
+    /// Trace collection over every analysis root.
     trace_collection_ms: f64,
-    /// Trace collection with memoization disabled.
-    trace_collection_no_memo_ms: f64,
     /// Rule application over the collected traces.
     rule_scan_ms: f64,
     traces: usize,
@@ -99,7 +89,6 @@ struct FrameworkBench {
     /// Distinct interned (object, field-path) addresses across all events.
     distinct_addrs: usize,
     warnings: usize,
-    memo: MemoCounters,
     /// Full pipeline against an empty cache directory.
     cache_cold_ms: f64,
     /// Full pipeline against the directory the cold run populated.
@@ -118,10 +107,8 @@ struct FrameworkBench {
 #[derive(Debug, Serialize)]
 struct AppBench {
     name: &'static str,
-    /// Full uncached pipeline (memoized trace collection, the default).
+    /// Full uncached pipeline, `check_program` without a cache.
     analysis_ms: f64,
-    /// Full uncached pipeline with callee-summary memoization disabled.
-    analysis_no_memo_ms: f64,
     cache_cold_ms: f64,
     cache_warm_ms: f64,
     cache_warm_hits: u64,
@@ -135,17 +122,11 @@ struct ThroughputRow {
     name: String,
     /// `"framework"` (corpus) or `"app"` (Table-9 generated workload).
     kind: &'static str,
-    /// Events across all collected traces (memo and no-memo agree).
+    /// Events across all collected traces.
     events: usize,
-    /// Single-thread memoized trace collection, best-of-N.
+    /// Single-thread trace collection, best-of-N.
     trace_ms: f64,
     events_per_sec: f64,
-    /// Same collection with callee-summary memoization disabled.
-    trace_no_memo_ms: f64,
-    events_per_sec_no_memo: f64,
-    /// Median of per-pair memo/no-memo wall-time ratios (the two configs
-    /// are timed back-to-back each rep). The regression bar is ≤ 1.10.
-    memo_ratio: f64,
     /// Rule application over the collected traces.
     rule_scan_ms: f64,
     rule_events_per_sec: f64,
@@ -165,7 +146,7 @@ struct ThroughputRow {
 struct ThroughputTable {
     /// Seed aggregate baseline this build is compared against (ev/s).
     baseline_events_per_sec: f64,
-    /// Aggregate single-thread memoized trace collection across every row:
+    /// Aggregate single-thread trace collection across every row:
     /// total events / total wall time.
     aggregate_events_per_sec: f64,
     /// `aggregate_events_per_sec / baseline_events_per_sec`; the
@@ -405,25 +386,9 @@ fn bench_framework(fw: Framework, reps: usize) -> FrameworkBench {
         (cg, dsa)
     });
 
-    // Memoized collection (fresh collector per rep: the memo table is
-    // per-collector, so every rep pays its own misses).
-    let (trace_collection_ms, (traces, memo)) = timed(reps, || {
-        let collector = TraceCollector::new(&program, &dsa, config.trace.clone());
-        let traces = collector.collect_program(&cg);
-        let stats = collector.memo_stats();
-        (traces, stats)
+    let (trace_collection_ms, traces) = timed(reps, || {
+        TraceCollector::new(&program, &dsa, config.trace.clone()).collect_program(&cg)
     });
-
-    let (trace_collection_no_memo_ms, traces_no_memo) = timed(reps, || {
-        let tc = TraceConfig { memoize: false, ..config.trace.clone() };
-        TraceCollector::new(&program, &dsa, tc).collect_program(&cg)
-    });
-    assert_eq!(
-        traces,
-        traces_no_memo,
-        "{}: memoized collection must reproduce the inlined traces exactly",
-        fw.name()
-    );
 
     let checker = StaticChecker::new(config.clone());
     let (rule_scan_ms, scan_report) = timed(reps, || checker.check_traces(&traces));
@@ -468,18 +433,11 @@ fn bench_framework(fw: Framework, reps: usize) -> FrameworkBench {
         modules: fw.modules().len(),
         dsa_ms,
         trace_collection_ms,
-        trace_collection_no_memo_ms,
         rule_scan_ms,
         traces: traces.len(),
         events,
         distinct_addrs: addrs.len(),
         warnings: scan_report.warnings.len(),
-        memo: MemoCounters {
-            hits: memo.hits,
-            misses: memo.misses,
-            skips: memo.skips,
-            summaries: memo.summaries,
-        },
         cache_cold_ms,
         cache_warm_ms,
         cache_warm_hits: warm_stats.hits,
@@ -493,20 +451,9 @@ fn bench_app(size: &nvm_apps::pirgen::AppSize, reps: usize) -> AppBench {
     use deepmc_analysis::Program;
     let modules = nvm_apps::pirgen::generate_app(size);
     let program = Program::new(modules).expect("generated app links");
-    let mut config = DeepMcConfig::new(deepmc_models::PersistencyModel::Strict);
-    let checker = StaticChecker::new(config.clone());
+    let checker = StaticChecker::new(DeepMcConfig::new(deepmc_models::PersistencyModel::Strict));
 
-    let (analysis_ms, memo_report) = timed(reps, || checker.check_program(&program));
-    config.trace.memoize = false;
-    let no_memo_checker = StaticChecker::new(config);
-    let (analysis_no_memo_ms, no_memo_report) =
-        timed(reps, || no_memo_checker.check_program(&program));
-    assert_eq!(
-        memo_report.to_string(),
-        no_memo_report.to_string(),
-        "{}: memoized collection changed the report",
-        size.name
-    );
+    let (analysis_ms, _) = timed(reps, || checker.check_program(&program));
 
     let dir = std::env::temp_dir().join(format!("deepmc-bench-cache-app-{}", size.name));
     let cache = AnalysisCache::open(&dir);
@@ -528,7 +475,6 @@ fn bench_app(size: &nvm_apps::pirgen::AppSize, reps: usize) -> AppBench {
     AppBench {
         name: size.name,
         analysis_ms,
-        analysis_no_memo_ms,
         cache_cold_ms,
         cache_warm_ms,
         cache_warm_hits: warm_stats.hits,
@@ -546,36 +492,9 @@ fn throughput_row(
     let cg = CallGraph::build(program);
     let dsa = DsaResult::analyze(program, &cg);
 
-    // Memo and no-memo collection sampled in PAIRS, alternating within one
-    // loop: the regression gate compares their ratio, and two
-    // independently timed windows on a shared machine can drift 10% apart
-    // even on identical work, while both halves of a back-to-back pair see
-    // the same frequency and interference. A fresh collector per rep: the
-    // memo table is per-collector, so every rep pays its own misses — this
-    // is cold-collection throughput.
-    let mut trace_ms = f64::INFINITY;
-    let mut trace_no_memo_ms = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(reps);
-    let mut traces = Vec::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        let tr = std::hint::black_box(
-            TraceCollector::new(program, &dsa, config.trace.clone()).collect_program(&cg),
-        );
-        let memo_sample = ms(t.elapsed());
-        let t = Instant::now();
-        let tc = TraceConfig { memoize: false, ..config.trace.clone() };
-        let traces_no_memo =
-            std::hint::black_box(TraceCollector::new(program, &dsa, tc).collect_program(&cg));
-        let no_memo_sample = ms(t.elapsed());
-        assert_eq!(tr, traces_no_memo, "{name}: memoization must not change the traces");
-        trace_ms = trace_ms.min(memo_sample);
-        trace_no_memo_ms = trace_no_memo_ms.min(no_memo_sample);
-        ratios.push(memo_sample / no_memo_sample);
-        traces = tr;
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let memo_ratio = ratios[ratios.len() / 2];
+    let (trace_ms, traces) = best_of(reps, || {
+        TraceCollector::new(program, &dsa, config.trace.clone()).collect_program(&cg)
+    });
     let events: usize = traces.iter().map(|t| t.events.len()).sum();
 
     let checker = StaticChecker::new(config.clone());
@@ -615,9 +534,6 @@ fn throughput_row(
         events,
         trace_ms,
         events_per_sec: evps(trace_ms),
-        trace_no_memo_ms,
-        events_per_sec_no_memo: evps(trace_no_memo_ms),
-        memo_ratio,
         rule_scan_ms,
         rule_events_per_sec: evps(rule_scan_ms),
         warm_read_ms,
@@ -815,16 +731,6 @@ fn throughput_gate_failure(t: &ThroughputTable) -> Option<String> {
                 r.name, r.warm_read_ms, r.analysis_ms
             ));
         }
-        // Gate on the paired median ratio, with an absolute floor for the
-        // corpus rows whose whole collection is tens of microseconds —
-        // there a single scheduler blip is worth more than 10%.
-        if r.memo_ratio > 1.10 && r.trace_ms > r.trace_no_memo_ms + 0.05 {
-            return Some(format!(
-                "{} memoized collection ran at {:.2}x the no-memo time \
-                 ({:.3} ms vs {:.3} ms; acceptance bar: <= 1.10x)",
-                r.name, r.memo_ratio, r.trace_ms, r.trace_no_memo_ms
-            ));
-        }
     }
     None
 }
@@ -844,8 +750,8 @@ fn main() {
     // cheap enough that 3× the rep count stays in the noise budget. A
     // table failing any gate is re-measured up to twice before it
     // counts: on a shared machine a burst of outside interference can
-    // inflate a whole best-of window (or one row's paired ratio), while
-    // a real regression fails every attempt.
+    // inflate a whole best-of window, while a real regression fails
+    // every attempt.
     let mut throughput = bench_throughput(reps * 3);
     for _ in 0..2 {
         if throughput_gate_failure(&throughput).is_none() {
@@ -874,24 +780,15 @@ fn main() {
 
     println!("Per-phase static-analysis wall time over the corpus (median of {reps}):\n");
     println!(
-        "{:<12} {:>8} {:>10} {:>12} {:>9} {:>8} {:>8} {:>10} {:>10}",
-        "Framework",
-        "DSA ms",
-        "trace ms",
-        "no-memo ms",
-        "rules ms",
-        "traces",
-        "addrs",
-        "cold ms",
-        "warm ms"
+        "{:<12} {:>8} {:>10} {:>9} {:>8} {:>8} {:>10} {:>10}",
+        "Framework", "DSA ms", "trace ms", "rules ms", "traces", "addrs", "cold ms", "warm ms"
     );
     for f in &report.frameworks {
         println!(
-            "{:<12} {:>8.2} {:>10.2} {:>12.2} {:>9.2} {:>8} {:>8} {:>10.2} {:>10.2}",
+            "{:<12} {:>8.2} {:>10.2} {:>9.2} {:>8} {:>8} {:>10.2} {:>10.2}",
             f.name,
             f.dsa_ms,
             f.trace_collection_ms,
-            f.trace_collection_no_memo_ms,
             f.rule_scan_ms,
             f.traces,
             f.distinct_addrs,
@@ -922,18 +819,13 @@ fn main() {
 
     println!("\nGenerated applications (Table-9 workload):\n");
     println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>10} {:>6}",
-        "App", "analysis ms", "no-memo ms", "cold ms", "warm ms", "hits"
+        "{:<12} {:>12} {:>10} {:>10} {:>6}",
+        "App", "analysis ms", "cold ms", "warm ms", "hits"
     );
     for a in &report.apps {
         println!(
-            "{:<12} {:>12.2} {:>12.2} {:>10.2} {:>10.2} {:>6}",
-            a.name,
-            a.analysis_ms,
-            a.analysis_no_memo_ms,
-            a.cache_cold_ms,
-            a.cache_warm_ms,
-            a.cache_warm_hits
+            "{:<12} {:>12.2} {:>10.2} {:>10.2} {:>6}",
+            a.name, a.analysis_ms, a.cache_cold_ms, a.cache_warm_ms, a.cache_warm_hits
         );
     }
     println!(
@@ -948,27 +840,16 @@ fn main() {
         reps * 3
     );
     println!(
-        "{:<12} {:>9} {:>8} {:>9} {:>11} {:>6} {:>9} {:>10} {:>9} {:>9}",
-        "Workload",
-        "events",
-        "trace ms",
-        "Mev/s",
-        "no-memo ms",
-        "memo",
-        "rules ms",
-        "rd ms",
-        "roots",
-        "anal ms"
+        "{:<12} {:>9} {:>8} {:>9} {:>9} {:>10} {:>9} {:>9}",
+        "Workload", "events", "trace ms", "Mev/s", "rules ms", "rd ms", "roots", "anal ms"
     );
     for r in &report.throughput.rows {
         println!(
-            "{:<12} {:>9} {:>8.3} {:>9.2} {:>11.3} {:>5.2}x {:>9.3} {:>10.3} {:>9} {:>9.3}",
+            "{:<12} {:>9} {:>8.3} {:>9.2} {:>9.3} {:>10.3} {:>9} {:>9.3}",
             r.name,
             r.events,
             r.trace_ms,
             r.events_per_sec / 1e6,
-            r.trace_no_memo_ms,
-            r.memo_ratio,
             r.rule_scan_ms,
             r.warm_read_ms,
             r.warm_read_roots,
@@ -1075,11 +956,9 @@ fn main() {
     std::fs::write("BENCH_analysis.json", json + "\n").expect("write BENCH_analysis.json");
     println!("wrote BENCH_analysis.json");
 
-    // Table 9f gates (ISSUE 8 acceptance): aggregate single-thread trace
-    // collection ≥ 5× the seed baseline; binary cache warm read no slower
-    // than the analysis it replaces; memoized collection never >10% slower
-    // than no-memo (with a 50 µs absolute floor so micro-timing jitter on
-    // sub-100 µs corpus rows cannot fail the relative bar).
+    // Table 9f gates: aggregate single-thread trace collection ≥ 5× the
+    // seed baseline; binary cache warm read no slower than the analysis it
+    // replaces.
     if let Some(msg) = throughput_gate_failure(&report.throughput) {
         eprintln!("FAIL: {msg}");
         std::process::exit(1);

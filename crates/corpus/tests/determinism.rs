@@ -1,12 +1,10 @@
-//! Report determinism and cache/memoization equivalence over the corpus.
+//! Report determinism and cache equivalence over the corpus.
 //!
-//! Three properties, each over all four frameworks:
+//! Two properties, each over all four frameworks:
 //!
 //! * Running the checker twice produces byte-identical reports (rendered
 //!   and JSON forms) — warnings that share a dedup key must not make the
 //!   surviving representative depend on iteration order.
-//! * Disabling callee-summary memoization in the trace collector changes
-//!   nothing: the memoized splice is an exact replay of inlining.
 //! * A warm run against the on-disk cache reproduces the cold run's
 //!   report byte-for-byte, with every root served from the cache.
 
@@ -24,24 +22,6 @@ fn repeated_checks_are_byte_identical() {
         let (text2, json2) = render(&fw.check());
         assert_eq!(text1, text2, "{}: rendered report differs between runs", fw.name());
         assert_eq!(json1, json2, "{}: JSON report differs between runs", fw.name());
-    }
-}
-
-#[test]
-fn memoized_collection_matches_inlined_collection() {
-    for fw in Framework::ALL {
-        let program = fw.program();
-        let mut config = DeepMcConfig::new(fw.model());
-        config.trace.memoize = true;
-        let memoized = StaticChecker::new(config.clone()).check_program(&program);
-        config.trace.memoize = false;
-        let inlined = StaticChecker::new(config).check_program(&program);
-        assert_eq!(
-            memoized.to_string(),
-            inlined.to_string(),
-            "{}: memoized trace collection changed the report",
-            fw.name()
-        );
     }
 }
 

@@ -115,8 +115,8 @@ fn assert_nesting(events: &[Event]) {
 }
 
 /// Multiset of span names, and the merged counters that are
-/// schedule-independent (memo and steal counters legitimately vary with
-/// the schedule and are excluded).
+/// schedule-independent (steal counters legitimately vary with the
+/// schedule and are excluded).
 fn structural_view(data: &ObsData) -> (BTreeMap<&'static str, usize>, BTreeMap<String, u64>) {
     let mut spans: BTreeMap<&'static str, usize> = BTreeMap::new();
     for e in &data.events {

@@ -1,18 +1,28 @@
 //! The `deepmc` command-line tool.
 //!
 //! ```text
-//! deepmc check  -strict|-epoch|-strand [--json] [--violations-only|--performance-only]
-//!               [--no-cache] [--cache-dir DIR] [--cache-staleness-ms MS] [--jobs N]
-//!               [--root-timeout SECS] [--max-walk-steps N] [--chaos-panic ROOT]
-//!               [--profile] [--verbose] [--trace-out FILE] [--metrics-out FILE] FILE...
+//! deepmc check  (-strict|-epoch|-strand) [--json] [--violations-only|--performance-only]
+//!               [--suppress DB.json] [--no-cache] [--cache-dir DIR]
+//!               [--cache-staleness-ms MS] [--jobs N] [--root-timeout SECS]
+//!               [--max-walk-steps N] [--chaos-panic ROOT] [--profile] [--verbose]
+//!               [--progress] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE]
+//!               [--build-id ID] FILE...
 //! deepmc check  --ds STRUCTURE|all [--steps N] [--jobs N] [--profile] [--progress]
 //!               [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--build-id ID]
-//! deepmc dynamic -strand ENTRY FILE...
+//! deepmc fix    (-strict|-epoch|-strand) FILE... [-o DIR]
+//! deepmc dynamic ENTRY FILE...            # strand-model dynamic check of one execution
 //! deepmc run     ENTRY FILE...            # execute on the simulated NVM runtime
-//! deepmc crashsweep [--app NAME] [--steps N] [--seeds N] [--seed S]
+//! deepmc crashsweep [--app all|memcached|redis|nstore] [--steps N] [--seeds N] [--seed S]
 //!                   [--torn R] [--drop-flush R] [--poison R] [--inject-bug] [--jobs N]
-//!                   [--prune] [--oracle] [--journal FILE] [--resume]
-//!                   [--profile] [--trace-out FILE] [--metrics-out FILE]
+//!                   [--prune] [--oracle] [--journal FILE] [--resume] [--profile]
+//!                   [--progress] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE]
+//!                   [--build-id ID]
+//! deepmc stats show    [--ledger FILE] [--tool NAME] [N]
+//! deepmc stats diff    [--ledger FILE] [--threshold PCT] [A B]
+//! deepmc stats regress --baseline FILE [--ledger FILE] [--max-p50-pct N]
+//!                      [--max-p99-pct N] [--min-us N]
+//! deepmc stats flame   [--ledger FILE] [--out FILE] [N]
+//! deepmc dsg FUNCTION FILE...             # Graphviz of the function's data structure graph
 //! deepmc rules                            # print the checking-rule catalog
 //! ```
 //!

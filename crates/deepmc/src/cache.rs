@@ -863,7 +863,7 @@ entry:
             root: "main".into(),
             message: format!("warning at line {line}"),
             model: PersistencyModel::Epoch,
-            dynamic: line % 2 == 0,
+            dynamic: line.is_multiple_of(2),
             fix,
         };
         CacheEntry {

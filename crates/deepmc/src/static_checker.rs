@@ -124,8 +124,7 @@ impl StaticChecker {
     /// [`StaticChecker::check_program_cached`] with an explicit worker
     /// count: `0` resolves `DEEPMC_JOBS` / available cores, `1` forces the
     /// sequential pipeline, `n > 1` fans the analysis roots over a
-    /// work-stealing pool of `n` workers sharing one trace collector (and
-    /// therefore one callee-summary memo table).
+    /// work-stealing pool of `n` workers sharing one trace collector.
     ///
     /// The pipeline runs root by root. With a cache, each root's content
     /// key ([`cache::root_key`]) is looked up first; a hit replays the
@@ -175,12 +174,6 @@ impl StaticChecker {
                 self.check_root(program, &collector, cache, keys.as_ref(), root)
             })
         };
-        let memo = collector.memo_stats();
-        obs::counter("trace.memo.hits", memo.hits);
-        obs::counter("trace.memo.misses", memo.misses);
-        obs::counter("trace.memo.skips", memo.skips);
-        obs::counter("trace.memo.summaries", memo.summaries);
-
         // Deterministic merge: outcomes arrive in root order regardless of
         // scheduling, and every aggregate below is associative.
         let mut raw = Vec::new();

@@ -257,3 +257,29 @@ fn check_ds_is_deterministic_across_progress_and_jobs() {
     assert_eq!(q1, q4, "worker count changed the verdict table");
     assert_eq!(q4, p4, "--progress changed the jobs=4 verdict table");
 }
+
+/// The benchmark's traced `check` runs read the analysis cache's hit and
+/// miss counts from one stderr line, with the pattern
+/// `cache: (\d+) hit\(s\), (\d+) miss\(es\)`; rewording or dropping that
+/// line turns those two metrics null. Run from the context directory so
+/// the default cache lands inside it: a cold run of the one-root fixture
+/// misses once, and a warm rerun hits once.
+#[test]
+fn verbose_check_prints_the_cache_line() {
+    let ctx = Ctx::new("cache-line");
+    let run = || -> String {
+        let out = Command::new(BIN)
+            .current_dir(&ctx.dir)
+            .args(["check", "-strict", "--jobs", "1", "--verbose"])
+            .arg(&ctx.fixture)
+            .output()
+            .expect("spawn deepmc");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "check failed:\n{stderr}");
+        stderr
+    };
+    let cold = run();
+    assert!(cold.contains("cache: 0 hit(s), 1 miss(es)"), "cold run:\n{cold}");
+    let warm = run();
+    assert!(warm.contains("cache: 1 hit(s), 0 miss(es)"), "warm run:\n{warm}");
+}

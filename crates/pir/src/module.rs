@@ -4,7 +4,7 @@
 //! each block holds a `u32` range into it instead of its own vector. The
 //! arena keeps a whole body contiguous in memory — the analysis walk and
 //! the verifier iterate it without pointer-chasing per block — and makes
-//! "function size" an O(1) query for the memoization threshold.
+//! "function size" an O(1) query.
 
 use crate::inst::{Inst, Terminator};
 use crate::intern::SymbolTable;
