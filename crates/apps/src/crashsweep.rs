@@ -1127,28 +1127,42 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let journal_path = dir.join("sweep.journal");
-        let cfg = SweepConfig { inject_bug: true, prune: true, oracle: true, jobs: 2, ..small(13) };
-        let apps = [SweepApp::NStore];
-        let straight = sweep(&cfg, &apps);
+        // Interrupted inside the first window of explored steps, and in
+        // the second one of a 93-step script.
+        for (steps, trip) in [(12, 2), (80, 70)] {
+            let cfg = SweepConfig {
+                steps,
+                inject_bug: true,
+                prune: true,
+                oracle: true,
+                jobs: 2,
+                ..small(13)
+            };
+            let apps = [SweepApp::NStore];
+            let straight = sweep(&cfg, &apps);
 
-        let journal = SweepJournal::open(&journal_path, &cfg, &apps, false).unwrap();
-        let session =
-            SweepSession { journal: Some(&journal), trip_after: Some(2), ..Default::default() };
-        let first = sweep_session(&cfg, &apps, &session);
-        assert!(first.interrupted(), "trip_after must cancel the exploration mid-run");
-        drop(journal);
+            let journal = SweepJournal::open(&journal_path, &cfg, &apps, false).unwrap();
+            let session = SweepSession {
+                journal: Some(&journal),
+                trip_after: Some(trip),
+                ..Default::default()
+            };
+            let first = sweep_session(&cfg, &apps, &session);
+            assert!(first.interrupted(), "trip_after must cancel the exploration mid-run");
+            drop(journal);
 
-        let journal = SweepJournal::open(&journal_path, &cfg, &apps, true).unwrap();
-        assert!(journal.loaded_steps() >= 2);
-        let session = SweepSession { journal: Some(&journal), ..Default::default() };
-        let second = sweep_session(&cfg, &apps, &session);
-        assert!(!second.interrupted());
-        assert!(second.resumed_steps > 0, "journaled exploration steps replay on resume");
-        assert_eq!(
-            outcomes_text(&second.outcomes),
-            outcomes_text(&straight),
-            "resumed pruned sweep must match the uninterrupted one byte for byte"
-        );
+            let journal = SweepJournal::open(&journal_path, &cfg, &apps, true).unwrap();
+            assert!(journal.loaded_steps() >= trip);
+            let session = SweepSession { journal: Some(&journal), ..Default::default() };
+            let second = sweep_session(&cfg, &apps, &session);
+            assert!(!second.interrupted());
+            assert!(second.resumed_steps > 0, "journaled exploration steps replay on resume");
+            assert_eq!(
+                outcomes_text(&second.outcomes),
+                outcomes_text(&straight),
+                "resumed pruned sweep of {steps} steps must match the uninterrupted one byte for byte"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

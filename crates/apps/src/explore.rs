@@ -20,19 +20,26 @@
 //! 2. their steps have the same *class context*: a digest of everything
 //!    else the target's validation reads ([`CrashTarget::context`]).
 //!
-//! With pruning off, every crash point is its own class and the probe
-//! phase is skipped: each step is replayed once and all its images are
-//! validated. With pruning on, exploration runs in two phases over the
-//! shared analysis pool. Phase A (probe) replays every step, takes every
-//! crash image and keys it — no reboot, no recovery. Representatives are
-//! elected in canonical (step, policy) order, so the assignment is the
-//! same for every worker count. Phase B (validate) replays again only
-//! the steps that own a representative and validates just those images.
-//! In both modes every policy is still *applied* in order, so a fault
-//! plan's RNG stream — which advances per application — stays the same
-//! as when every image is validated. The merge hands each crash point
-//! its representative's verdict, in canonical order, to the target's
-//! fold, which relabels it with the member's own step and policy.
+//! Every step is replayed once, in either mode. With pruning off,
+//! every crash point is its own class: each step is replayed and all its
+//! images are validated in the same job. With pruning on, exploration
+//! runs over the shared analysis pool in windows of [`WINDOW`] steps, in
+//! canonical order. Phase A (probe) replays every step of the window,
+//! takes every crash image and keys it — no reboot, no recovery — and
+//! keeps the step's run and the images that could represent a class
+//! (each key's first image within the step, unless an earlier window
+//! already elected that key). Representatives are then elected in
+//! canonical (step, policy) order against every key seen so far, so the
+//! assignment is the same for every worker count. Phase B (validate)
+//! validates each representative from its kept image, with no second
+//! replay, and the window's images are dropped before the next window
+//! is probed; keeping every step's images instead would grow with the
+//! script. In both modes every policy is still *applied* in order, so a
+//! fault plan's RNG stream — which advances per application — stays the
+//! same as when every image is validated. The merge hands each crash
+//! point its representative's verdict, in canonical order, to the
+//! target's fold, which relabels it with the member's own step and
+//! policy.
 //!
 //! Each validated step is journaled as one [`StepRecord`]: the `clwb`s
 //! its replay dropped plus its representatives' verdicts. An interrupted
@@ -45,12 +52,13 @@ use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
 use deepmc_obs as obs;
 use nvm_runtime::{CrashImage, CrashPolicy, PmemPool};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// A program the explorer can crash, recover and judge.
 pub(crate) trait CrashTarget: Sync {
-    /// What a replayed prefix leaves besides its pool.
-    type Run;
+    /// What a replayed prefix leaves besides its pool. A pruned
+    /// exploration keeps it from the probe to the validation of the step.
+    type Run: Send;
     /// The verdict on one crash image.
     type Verdict: Serialize + for<'de> Deserialize<'de> + Send;
 
@@ -103,7 +111,7 @@ struct Rep<V> {
     verdict: V,
 }
 
-/// What one phase-B pool job produced for a representative-owning step.
+/// What one validation job produced for a step.
 enum Validated<V> {
     /// Session cancelled before the step started.
     Skipped,
@@ -113,7 +121,51 @@ enum Validated<V> {
     Computed(StepRecord<V>),
 }
 
+impl<V> Validated<V> {
+    /// The step's record, if it has one; counts a resumed step.
+    fn record(self, resumed: &mut u64) -> Option<StepRecord<V>> {
+        match self {
+            Validated::Skipped => None,
+            Validated::Resumed(record) => {
+                *resumed += 1;
+                Some(record)
+            }
+            Validated::Computed(record) => Some(record),
+        }
+    }
+}
+
+/// Run one step's validation job: skip it once the session is cancelled,
+/// take it from the journal when the journal holds it, and otherwise
+/// `compute` it and journal the record.
+fn validated<T: CrashTarget>(
+    target: &T,
+    session: &SweepSession<'_>,
+    step: usize,
+    compute: impl FnOnce() -> StepRecord<T::Verdict>,
+) -> Validated<T::Verdict> {
+    if session.is_cancelled() {
+        return Validated::Skipped;
+    }
+    if let Some(journal) = session.journal {
+        if let Some(record) = journal.lookup(target.name(), step as u64) {
+            obs::counter("sweep.resumed_steps", 1);
+            return Validated::Resumed(record);
+        }
+    }
+    let _s = obs::span_lazy("explore.validate", || vec![("step", step.to_string())]);
+    let record = compute();
+    if let Some(journal) = session.journal {
+        let journaled = journal.append(target.name(), step as u64, &record);
+        if session.trip_after.is_some_and(|t| journaled >= t) {
+            session.cancel();
+        }
+    }
+    Validated::Computed(record)
+}
+
 /// Work counts of one exploration.
+#[derive(Default)]
 pub(crate) struct Explored {
     /// Crash images actually recovered and validated.
     pub(crate) explored: u64,
@@ -121,6 +173,21 @@ pub(crate) struct Explored {
     pub(crate) resumed: u64,
     /// Steps left out because the session was cancelled.
     pub(crate) skipped: u64,
+}
+
+/// Steps per window of a pruned exploration. A window's images are held
+/// from its probe to its validation, so the window bounds that memory.
+const WINDOW: usize = 64;
+
+/// What phase A keeps of one replayed step.
+struct Probe<R> {
+    /// Class key per policy.
+    keys: Vec<u64>,
+    flushes_dropped: u64,
+    run: R,
+    /// The images that may represent their class: each key's first image
+    /// within the step, unless an earlier window elected that key.
+    images: Vec<(usize, CrashImage)>,
 }
 
 /// Explore every crash point of `target` and hand each completed step to
@@ -134,17 +201,83 @@ pub(crate) fn explore<T: CrashTarget>(
     mut fold: impl FnMut(usize, u64, &[&T::Verdict]),
 ) -> Explored {
     let total = target.crash_points();
-    let pols = target.policies();
     if session.is_cancelled() {
-        return Explored { explored: 0, resumed: 0, skipped: total as u64 };
+        return Explored { skipped: total as u64, ..Default::default() };
     }
     let jobs = resolve_jobs_request(jobs);
-
-    // Phase A (pruned only): key every crash point, no recovery. Probes
-    // land in step order regardless of worker count.
-    let mut probes: Vec<(Vec<u64>, u64)> = Vec::new();
     if prune {
-        let probed = run_indexed(jobs, (1..=total).collect(), |_, step| {
+        pruned(target, jobs, session, &mut fold)
+    } else {
+        exhaustive(target, jobs, session, &mut fold)
+    }
+}
+
+/// Every crash point is its own class: each step is replayed once and
+/// all its images are validated in the same job.
+fn exhaustive<T: CrashTarget>(
+    target: &T,
+    jobs: usize,
+    session: &SweepSession<'_>,
+    fold: &mut impl FnMut(usize, u64, &[&T::Verdict]),
+) -> Explored {
+    let total = target.crash_points();
+    let pols = target.policies();
+    let results = run_indexed(jobs, (1..=total).collect(), |_, step| {
+        validated(target, session, step, || {
+            let (pool, run) = target.replay(step);
+            let flushes_dropped = pool.stats().dropped_flushes;
+            let reps = (pols.iter().enumerate())
+                .map(|(pi, policy)| {
+                    let verdict = target.validate(step, pi, &policy.apply(&pool), &run);
+                    Rep { policy: pi, verdict }
+                })
+                .collect();
+            StepRecord { flushes_dropped, reps }
+        })
+    });
+    let mut ex = Explored::default();
+    for (step, result) in (1..=total).zip(results) {
+        let Some(record) = result.record(&mut ex.resumed) else {
+            ex.skipped += 1;
+            continue;
+        };
+        let verdict_of =
+            |pi| record.reps.iter().find(|rep| rep.policy == pi).map(|rep| &rep.verdict);
+        match (0..pols.len()).map(verdict_of).collect::<Option<Vec<_>>>() {
+            Some(verdicts) => {
+                fold(step, record.flushes_dropped, &verdicts);
+                ex.explored += pols.len() as u64;
+            }
+            None => ex.skipped += 1,
+        }
+    }
+    ex
+}
+
+/// Crash points with equal class keys share one validated representative.
+/// Windows of [`WINDOW`] steps run in canonical order, each in three
+/// parts: probe every step, elect representatives against every key seen
+/// so far, then validate the window's representatives from the images
+/// the probe kept.
+fn pruned<T: CrashTarget>(
+    target: &T,
+    jobs: usize,
+    session: &SweepSession<'_>,
+    fold: &mut impl FnMut(usize, u64, &[&T::Verdict]),
+) -> Explored {
+    let total = target.crash_points();
+    let pols = target.policies();
+    let mut ex = Explored::default();
+    // Each class key's representative, and each representative's verdict.
+    let mut first: HashMap<u64, (usize, usize)> = HashMap::new();
+    let mut verdicts: HashMap<(usize, usize), T::Verdict> = HashMap::new();
+    let mut explored: HashSet<(usize, usize)> = HashSet::new();
+    for lo in (1..=total).step_by(WINDOW) {
+        let steps: Vec<usize> = (lo..=total.min(lo + WINDOW - 1)).collect();
+        // Phase A: replay, image and key every step of the window — no
+        // reboot, no recovery. Probes land in step order for any worker
+        // count.
+        let probed = run_indexed(jobs, steps.clone(), |_, step| {
             if session.is_cancelled() {
                 return None;
             }
@@ -152,110 +285,162 @@ pub(crate) fn explore<T: CrashTarget>(
             let (pool, run) = target.replay(step);
             let flushes_dropped = pool.stats().dropped_flushes;
             let context = target.context(step, &run);
-            let keys =
-                pols.iter().map(|p| mix(&[p.apply(&pool).content_hash(), context])).collect();
-            Some((keys, flushes_dropped))
+            let mut keys: Vec<u64> = Vec::with_capacity(pols.len());
+            let mut images = Vec::new();
+            for (pi, policy) in pols.iter().enumerate() {
+                let img = policy.apply(&pool);
+                let key = mix(&[img.content_hash(), context]);
+                if !keys.contains(&key) && !first.contains_key(&key) {
+                    images.push((pi, img));
+                }
+                keys.push(key);
+            }
+            Some(Probe { keys, flushes_dropped, run, images })
         });
-        if probed.iter().any(Option::is_none) {
-            // Cancelled mid-probe: nothing was validated or journaled.
-            return Explored { explored: 0, resumed: 0, skipped: total as u64 };
-        }
-        probes = probed.into_iter().flatten().collect();
-    }
+        let Some(probes) = probed.into_iter().collect::<Option<Vec<_>>>() else {
+            // Cancelled mid-probe: this window and the rest go unexplored.
+            ex.skipped += (total + 1 - lo) as u64;
+            break;
+        };
 
-    // Elect representatives in canonical (step, policy) order, so the
-    // assignment — and therefore the journal and the output — is the
-    // same for every worker count. Unpruned, each point represents itself.
-    let mut rep_of: Vec<Vec<(usize, usize)>> = Vec::with_capacity(total);
-    let mut owned: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut first: HashMap<u64, (usize, usize)> = HashMap::new();
-    for step in 1..=total {
-        let mut reps = Vec::with_capacity(pols.len());
-        for pi in 0..pols.len() {
-            let rep = match probes.get(step - 1) {
-                Some((keys, _)) => *first.entry(keys[pi]).or_insert((step, pi)),
-                None => (step, pi),
-            };
-            if rep == (step, pi) {
-                owned.entry(step).or_default().push(pi);
+        // Elect in canonical (step, policy) order, so the assignment — and
+        // therefore the journal and the output — is the same for every
+        // worker count.
+        let mut reps_of: Vec<(Vec<(usize, usize)>, u64)> = Vec::with_capacity(steps.len());
+        let mut owners = Vec::new();
+        for (&step, probe) in steps.iter().zip(probes) {
+            let reps: Vec<(usize, usize)> = (probe.keys.iter().enumerate())
+                .map(|(pi, &key)| *first.entry(key).or_insert((step, pi)))
+                .collect();
+            let images: Vec<(usize, CrashImage)> =
+                probe.images.into_iter().filter(|&(pi, _)| reps[pi] == (step, pi)).collect();
+            if !images.is_empty() {
+                owners.push((step, probe.flushes_dropped, probe.run, images));
             }
-            reps.push(rep);
+            reps_of.push((reps, probe.flushes_dropped));
         }
-        rep_of.push(reps);
-    }
 
-    // Phase B: replay only the steps that own a representative and
-    // validate just those images. Every policy is still applied in order.
-    let owners: Vec<(usize, Vec<usize>)> = owned.into_iter().collect();
-    let results = run_indexed(jobs, owners.clone(), |_, (step, rep_pis)| {
+        // Phase B: validate each representative from its kept image, with
+        // no second replay. The images go with the jobs.
+        let owner_steps: Vec<usize> = owners.iter().map(|&(step, ..)| step).collect();
+        let results = run_indexed(jobs, owners, |_, (step, flushes_dropped, run, images)| {
+            validated(target, session, step, || {
+                let reps = (images.iter())
+                    .map(|(pi, img)| Rep {
+                        policy: *pi,
+                        verdict: target.validate(step, *pi, img, &run),
+                    })
+                    .collect();
+                StepRecord { flushes_dropped, reps }
+            })
+        });
+        for (step, result) in owner_steps.into_iter().zip(results) {
+            if let Some(record) = result.record(&mut ex.resumed) {
+                verdicts
+                    .extend(record.reps.into_iter().map(|rep| ((step, rep.policy), rep.verdict)));
+            }
+        }
+
+        // Merge: hand every crash point its representative's verdict in
+        // canonical order. A step any of whose representatives is missing
+        // (cancelled before validation) counts as skipped.
+        for (&step, (reps, flushes_dropped)) in steps.iter().zip(&reps_of) {
+            match reps.iter().map(|rep| verdicts.get(rep)).collect::<Option<Vec<_>>>() {
+                Some(step_verdicts) => {
+                    explored.extend(reps.iter().copied());
+                    fold(step, *flushes_dropped, &step_verdicts);
+                }
+                None => ex.skipped += 1,
+            }
+        }
         if session.is_cancelled() {
-            return Validated::Skipped;
+            ex.skipped += (total + 1 - lo - steps.len()) as u64;
+            break;
         }
-        if let Some(journal) = session.journal {
-            if let Some(record) = journal.lookup(target.name(), step as u64) {
-                obs::counter("sweep.resumed_steps", 1);
-                return Validated::Resumed(record);
-            }
-        }
-        let _s = obs::span_lazy("explore.validate", || vec![("step", step.to_string())]);
-        let (pool, run) = target.replay(step);
-        let flushes_dropped = pool.stats().dropped_flushes;
-        let mut reps = Vec::with_capacity(rep_pis.len());
-        for (pi, policy) in pols.iter().enumerate() {
-            let img = policy.apply(&pool);
-            if rep_pis.contains(&pi) {
-                reps.push(Rep { policy: pi, verdict: target.validate(step, pi, &img, &run) });
-            }
-        }
-        let record = StepRecord { flushes_dropped, reps };
-        if let Some(journal) = session.journal {
-            let journaled = journal.append(target.name(), step as u64, &record);
-            if session.trip_after.is_some_and(|t| journaled >= t) {
-                session.cancel();
-            }
-        }
-        Validated::Computed(record)
-    });
-    let mut resumed = 0u64;
-    let mut records: HashMap<usize, StepRecord<T::Verdict>> = HashMap::new();
-    for ((step, _), result) in owners.iter().zip(results) {
-        let record = match result {
-            Validated::Skipped => continue,
-            Validated::Resumed(record) => {
-                resumed += 1;
-                record
-            }
-            Validated::Computed(record) => record,
-        };
-        records.insert(*step, record);
+    }
+    ex.explored = explored.len() as u64;
+    let images = (total - ex.skipped as usize) * pols.len();
+    obs::progress::add_pruned(images as u64 - ex.explored);
+    ex
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nvm_runtime::{PAddr, PoolConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A target whose steps repeat every seven, so classes span windows,
+    /// and whose last store stays dirty, so the policies' images differ.
+    /// It counts its replays per step.
+    struct Counting {
+        replays: Vec<AtomicUsize>,
+        policies: [CrashPolicy; 3],
     }
 
-    // Merge: hand every crash point its representative's verdict in
-    // canonical order. A step any of whose representatives is missing
-    // (cancelled before validation) counts as skipped.
-    let verdict_of = |&(step, pi): &(usize, usize)| {
-        let record = records.get(&step)?;
-        record.reps.iter().find(|rep| rep.policy == pi).map(|rep| &rep.verdict)
-    };
-    let mut skipped = 0u64;
-    let mut explored: HashSet<(usize, usize)> = HashSet::new();
-    for (idx, reps) in rep_of.iter().enumerate() {
-        let step = idx + 1;
-        let Some(verdicts) = reps.iter().map(verdict_of).collect::<Option<Vec<_>>>() else {
-            skipped += 1;
-            continue;
-        };
-        let flushes_dropped = match probes.get(idx) {
-            Some(&(_, dropped)) => dropped,
-            None => records[&step].flushes_dropped,
-        };
-        explored.extend(reps.iter().copied());
-        fold(step, flushes_dropped, &verdicts);
+    impl CrashTarget for Counting {
+        type Run = u64;
+        type Verdict = u64;
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn crash_points(&self) -> usize {
+            self.replays.len()
+        }
+
+        fn policies(&self) -> &[CrashPolicy] {
+            &self.policies
+        }
+
+        fn replay(&self, step: usize) -> (PmemPool, u64) {
+            self.replays[step - 1].fetch_add(1, Ordering::Relaxed);
+            let pool = PmemPool::new(PoolConfig { size: 1 << 14, shards: 2, ..Default::default() });
+            let v = step as u64 % 7;
+            pool.write_u64(PAddr(0), v);
+            pool.persist(PAddr(0), 8);
+            pool.write_u64(PAddr(64), v + 1);
+            (pool, v % 3)
+        }
+
+        fn context(&self, _: usize, run: &u64) -> u64 {
+            *run
+        }
+
+        fn validate(&self, _: usize, _: usize, img: &CrashImage, run: &u64) -> u64 {
+            img.read_u64(PAddr(0)) * 100 + img.read_u64(PAddr(64)) * 10 + run
+        }
     }
-    let explored = explored.len() as u64;
-    if prune {
-        let images = (total - skipped as usize) * pols.len();
-        obs::progress::add_pruned(images as u64 - explored);
+
+    #[test]
+    fn every_crash_point_is_replayed_once_in_either_mode() {
+        let points = 2 * WINDOW + 22;
+        let mut folds = Vec::new();
+        for prune in [false, true] {
+            let target = Counting {
+                replays: (0..points).map(|_| AtomicUsize::new(0)).collect(),
+                policies: [
+                    CrashPolicy::Pessimistic,
+                    CrashPolicy::Optimistic,
+                    CrashPolicy::PendingOnly,
+                ],
+            };
+            let mut folded = Vec::new();
+            let ex = explore(&target, prune, 2, &SweepSession::default(), |step, dropped, vs| {
+                folded.push((step, dropped, vs.iter().map(|v| **v).collect::<Vec<u64>>()));
+            });
+            for (i, n) in target.replays.iter().enumerate() {
+                let n = n.load(Ordering::Relaxed);
+                assert_eq!(n, 1, "prune={prune}: step {} replayed {n} times", i + 1);
+            }
+            assert_eq!(ex.skipped, 0);
+            assert_eq!(folded.len(), points);
+            if prune {
+                assert!(ex.explored < points as u64, "classes collapse across steps");
+            }
+            folds.push(folded);
+        }
+        assert_eq!(folds[0], folds[1], "pruning changes no verdict");
     }
-    Explored { explored, resumed, skipped }
 }

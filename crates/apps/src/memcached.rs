@@ -4,8 +4,8 @@
 //! immediately and closes its epoch with one barrier per batch, exactly
 //! the durability/throughput trade epoch persistency is for.
 
-use crate::recovery::RecoveryReport;
-use crate::store::{scan_record, PersistStyle, PmKv, RecordScan};
+use crate::recovery::{on_failed_line, RecoveryReport};
+use crate::store::{parse_record, PersistStyle, PmKv, RecordSlot, RECORD_BYTES, RECORD_USED};
 use crate::tracker::{NoopTracker, Tracker};
 use crate::workloads::{BenchApp, ClientCtx, OpKind};
 use nvm_runtime::{PAddr, PmemHeap, PmemPool};
@@ -22,10 +22,12 @@ impl<'p> Memcached<'p> {
 
     /// Post-crash recovery: persistent-Memcached rebuilds its volatile
     /// index by scanning the record area (every live record is one cache
-    /// line with a non-zero key). Records that fail checksum validation
-    /// (torn writes) or error at the media level even after retries are
-    /// scrubbed — zeroed and persisted — so a second recovery pass sees a
-    /// clean slot; the store itself also scrubs poison on write.
+    /// line with a non-zero key). The area is read once, with
+    /// [`PmemPool::read_lines`], and parsed from that buffer. Records that
+    /// fail checksum validation (torn writes) or error at the media level
+    /// even after retries are scrubbed — zeroed and persisted — so a
+    /// second recovery pass sees a clean slot; the store itself also
+    /// scrubs poison on write.
     pub fn recover(
         pool: &'p PmemPool,
         heap: &'p PmemHeap<'p>,
@@ -35,12 +37,19 @@ impl<'p> Memcached<'p> {
         let mut report = RecoveryReport::default();
         // Clamp: a torn heap cursor must not walk the scan off the pool.
         let end = (64 + heap.used()).min(pool.size());
-        let mut addr = 64u64;
-        while addr + 64 <= end {
-            let rec = PAddr(addr);
-            match scan_record(pool, rec) {
-                RecordScan::Empty => {}
-                RecordScan::Valid { key, .. } => {
+        let mut area = vec![0u8; (end.saturating_sub(64) / RECORD_BYTES * RECORD_BYTES) as usize];
+        let failed =
+            pool.read_lines(PAddr(64), &mut area).expect("the record area lies inside the pool");
+        for (i, bytes) in area.chunks_exact(RECORD_BYTES as usize).enumerate() {
+            let rec = PAddr(64 + i as u64 * RECORD_BYTES);
+            let slot = if on_failed_line(&failed, rec, RECORD_USED) {
+                RecordSlot::Poisoned
+            } else {
+                parse_record(bytes)
+            };
+            match slot {
+                RecordSlot::Empty => {}
+                RecordSlot::Valid { key } => {
                     report.scanned += 1;
                     report.adopted += 1;
                     kv.adopt_record(key, rec);
@@ -48,14 +57,13 @@ impl<'p> Memcached<'p> {
                 bad => {
                     report.scanned += 1;
                     match bad {
-                        RecordScan::Torn => report.torn_dropped += 1,
+                        RecordSlot::Torn => report.torn_dropped += 1,
                         _ => report.poisoned_dropped += 1,
                     }
-                    pool.write(rec, &[0u8; 64]);
-                    pool.persist(rec, 64);
+                    pool.write(rec, &[0u8; RECORD_BYTES as usize]);
+                    pool.persist(rec, RECORD_BYTES);
                 }
             }
-            addr += 64;
         }
         (Memcached { kv }, report)
     }

@@ -4,7 +4,7 @@
 //! is persisted, the tuple is updated in place and persisted, then the WAL
 //! entry is durably marked committed — three fences per write transaction.
 
-use crate::recovery::{checksum, RecoveryReport, NSTORE_WAL_SALT};
+use crate::recovery::{checksum, on_failed_line, RecoveryReport, NSTORE_WAL_SALT};
 use crate::store::fresh_version;
 use crate::tracker::{NoopTracker, Tracker};
 use crate::workloads::{BenchApp, ClientCtx, OpKind};
@@ -14,11 +14,22 @@ use std::collections::HashMap;
 
 /// Tuple: key(8) | 4 columns (32) | version(8) = 48 bytes, one line.
 pub const TUPLE_BYTES: u64 = 64;
-/// WAL entry: state(8) | key(8) | col0..col3 (32) | sum(8) = 56 bytes,
+/// WAL entry: state|seq(8) | key(8) | col0..col3 (32) | sum(8) = 56 bytes,
 /// one line. `sum` covers the payload (key, cols) only, so the later
 /// commit-mark store leaves it valid.
 const WAL_ENTRY: u64 = 64;
+/// Bytes actually written per entry.
+const WAL_USED: u64 = 56;
 const WAL_LOCK: u64 = u64::MAX - 1;
+/// Entry states, in the low byte of the state word. The upper bytes hold
+/// the entry's sequence number, which orders the redo once the ring has
+/// wrapped; the commit mark rewrites only the low byte's value.
+const ACTIVE: u64 = 1;
+const COMMITTED: u64 = 2;
+
+fn state_word(state: u64, seq: u64) -> u64 {
+    state | seq << 8
+}
 
 fn wal_sum(key: u64, cols: [u64; 4]) -> u64 {
     checksum(NSTORE_WAL_SALT, &[key, cols[0], cols[1], cols[2], cols[3]])
@@ -28,6 +39,8 @@ struct Wal {
     base: PAddr,
     capacity: u64,
     cursor: u64,
+    /// Sequence number of the next entry.
+    seq: u64,
 }
 
 /// The application.
@@ -57,17 +70,25 @@ impl<'p> NStore<'p> {
             heap,
             index: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             mask: n as u64 - 1,
-            wal: Mutex::new(Wal { base, capacity: wal_capacity, cursor: 0 }),
+            wal: Mutex::new(Wal { base, capacity: wal_capacity, cursor: 0, seq: 0 }),
         }
     }
 
     /// Post-crash recovery: redo the committed WAL entries into a fresh
-    /// table. ACTIVE entries (state 1) were never acknowledged — their
-    /// tuples may be torn — and are discarded, which is exactly the
-    /// guarantee the commit mark exists to give. Committed entries whose
-    /// payload checksum fails (torn append that still got its commit mark
-    /// — only possible with fault injection or an injected bug) and
-    /// entries on poisoned lines are likewise discarded, with counts.
+    /// table, in sequence order. ACTIVE entries (state 1) were never
+    /// acknowledged — their tuples may be torn — and are discarded, which
+    /// is exactly the guarantee the commit mark exists to give. Committed
+    /// entries whose payload checksum fails (torn append that still got
+    /// its commit mark — only possible with fault injection or an
+    /// injected bug) and entries on poisoned lines are likewise discarded,
+    /// with counts, and scrubbed so later passes (and the ring cursor) see
+    /// a clean slot.
+    ///
+    /// The WAL is read once, with [`PmemPool::read_lines`], and parsed
+    /// from that buffer; the redo's own appends come after the scan. Only
+    /// the WAL is redone, so once the ring has wrapped, a key whose last
+    /// write is more than one ring capacity old is lost (the sweep
+    /// scripts write 16 keys, far below the 1,024-entry ring).
     pub fn recover(
         pool: &'p PmemPool,
         heap: &'p PmemHeap<'p>,
@@ -82,49 +103,50 @@ impl<'p> NStore<'p> {
             heap,
             index: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             mask: n as u64 - 1,
-            wal: Mutex::new(Wal { base, capacity: wal_capacity, cursor: 0 }),
+            wal: Mutex::new(Wal { base, capacity: wal_capacity, cursor: 0, seq: 0 }),
         };
+        let mut log = vec![0u8; (wal_capacity / WAL_ENTRY * WAL_ENTRY) as usize];
+        let failed = pool.read_lines(base, &mut log).expect("the WAL lies inside the pool");
         let mut report = RecoveryReport::default();
-        let mut slot = 0;
+        let mut committed: Vec<(u64, u64, [u64; 4])> = Vec::new(); // (seq, key, cols)
         let mut last_used = 0;
-        while slot + WAL_ENTRY <= wal_capacity {
-            let at = base.offset(slot);
-            let mut bytes = [0u8; 56];
-            match pool.read_reliable(at, &mut bytes, 2) {
-                Err(_) => {
-                    report.scanned += 1;
-                    report.poisoned_dropped += 1;
-                    // Scrub so later passes (and the ring cursor) see a
-                    // clean slot.
-                    pool.write(at, &[0u8; WAL_ENTRY as usize]);
-                    pool.persist(at, WAL_ENTRY);
-                }
-                Ok(()) => {
-                    let word =
-                        |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-                    let state = word(0);
-                    if state == 2 {
-                        report.scanned += 1;
-                        let key = word(1);
-                        let cols = [word(2), word(3), word(4), word(5)];
-                        if word(6) == wal_sum(key, cols) {
-                            // COMMITTED and intact: redo the tuple.
-                            report.adopted += 1;
-                            db.put(key, cols, &NoopTracker, None);
-                        } else {
-                            report.torn_dropped += 1;
-                            pool.write(at, &[0u8; WAL_ENTRY as usize]);
-                            pool.persist(at, WAL_ENTRY);
-                        }
-                    } else if state != 0 {
-                        report.scanned += 1;
-                    }
-                    if state != 0 {
-                        last_used = slot + WAL_ENTRY;
-                    }
-                }
+        for (slot, bytes) in log.chunks_exact(WAL_ENTRY as usize).enumerate() {
+            let at = base.offset(slot as u64 * WAL_ENTRY);
+            let scrub = || {
+                pool.write(at, &[0u8; WAL_ENTRY as usize]);
+                pool.persist(at, WAL_ENTRY);
+            };
+            if on_failed_line(&failed, at, WAL_USED) {
+                report.scanned += 1;
+                report.poisoned_dropped += 1;
+                scrub();
+                continue;
             }
-            slot += WAL_ENTRY;
+            let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
+            let state = word(0);
+            if state & 0xff == COMMITTED {
+                report.scanned += 1;
+                let key = word(1);
+                let cols = [word(2), word(3), word(4), word(5)];
+                if word(6) == wal_sum(key, cols) {
+                    report.adopted += 1;
+                    committed.push((state >> 8, key, cols));
+                } else {
+                    report.torn_dropped += 1;
+                    scrub();
+                }
+            } else if state != 0 {
+                report.scanned += 1;
+            }
+            if state != 0 {
+                last_used = (slot as u64 + 1) * WAL_ENTRY;
+            }
+        }
+        // Redo in sequence order, logging past the largest surviving one.
+        committed.sort_unstable();
+        db.wal.lock().seq = committed.last().map_or(0, |&(seq, ..)| seq + 1);
+        for (_, key, cols) in committed {
+            db.put(key, cols, &NoopTracker, None);
         }
         db.wal.lock().cursor = last_used % wal_capacity;
         (db, report)
@@ -134,14 +156,15 @@ impl<'p> NStore<'p> {
         key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56 & self.mask
     }
 
-    /// Durable WAL append; returns the entry address for the commit mark.
+    /// Durable WAL append; returns the entry's address and sequence number
+    /// for the commit mark.
     fn wal_append(
         &self,
         key: u64,
         cols: [u64; 4],
         t: &dyn Tracker,
         strand: Option<StrandId>,
-    ) -> PAddr {
+    ) -> (PAddr, u64) {
         let mut wal = self.wal.lock();
         if t.enabled() {
             t.lock_acquire(strand, WAL_LOCK);
@@ -150,9 +173,11 @@ impl<'p> NStore<'p> {
             wal.cursor = 0;
         }
         let at = wal.base.offset(wal.cursor);
+        let seq = wal.seq;
         wal.cursor += WAL_ENTRY;
-        let mut bytes = [0u8; 56];
-        bytes[..8].copy_from_slice(&1u64.to_le_bytes()); // state: ACTIVE
+        wal.seq += 1;
+        let mut bytes = [0u8; WAL_USED as usize];
+        bytes[..8].copy_from_slice(&state_word(ACTIVE, seq).to_le_bytes());
         bytes[8..16].copy_from_slice(&key.to_le_bytes());
         for (i, c) in cols.iter().enumerate() {
             bytes[16 + i * 8..24 + i * 8].copy_from_slice(&c.to_le_bytes());
@@ -160,21 +185,27 @@ impl<'p> NStore<'p> {
         bytes[48..56].copy_from_slice(&wal_sum(key, cols).to_le_bytes());
         self.pool.write(at, &bytes);
         if t.enabled() {
-            t.access(strand, at.0, 56, true);
+            t.access(strand, at.0, WAL_USED, true);
         }
-        self.pool.persist(at, 56);
+        self.pool.persist(at, WAL_USED);
         if t.enabled() {
             t.lock_release(strand, WAL_LOCK);
         }
-        at
+        (at, seq)
     }
 
-    /// Durably mark a WAL entry committed.
-    fn wal_commit(&self, entry: PAddr, t: &dyn Tracker, strand: Option<StrandId>, persist: bool) {
+    /// Durably mark WAL entry `seq` at `entry` committed.
+    fn wal_commit(
+        &self,
+        (entry, seq): (PAddr, u64),
+        t: &dyn Tracker,
+        strand: Option<StrandId>,
+        persist: bool,
+    ) {
         if t.enabled() {
             t.lock_acquire(strand, WAL_LOCK);
         }
-        self.pool.write_u64(entry, 2); // state: COMMITTED
+        self.pool.write_u64(entry, state_word(COMMITTED, seq));
         if t.enabled() {
             t.access(strand, entry.0, 8, true);
         }
@@ -371,6 +402,44 @@ mod tests {
         // The recovered store accepts new transactions.
         db2.put(4, [40, 41, 42, 43], &NoopTracker, None);
         assert_eq!(db2.read(4, 1, &NoopTracker, None), Some(41));
+    }
+
+    #[test]
+    fn recovery_redoes_a_wrapped_wal_in_sequence_order() {
+        let p = pool();
+        {
+            let heap = PmemHeap::open(&p);
+            let db = NStore::new(&p, &heap, 8, 4 * WAL_ENTRY);
+            db.put(2, [20; 4], &NoopTracker, None); // slot 0
+            db.put(3, [30; 4], &NoopTracker, None); // slot 1
+            db.put(4, [40; 4], &NoopTracker, None); // slot 2
+            db.put(1, [10; 4], &NoopTracker, None); // slot 3
+                                                    // The ring wraps: key 1's newer write lands in slot 0, ahead of
+                                                    // its older one, and overwrites key 2's only entry.
+            db.put(1, [11; 4], &NoopTracker, None);
+        }
+        let img = CrashPolicy::Pessimistic.apply(&p);
+        let p2 = img.reboot(8);
+        let heap2 = PmemHeap::open(&p2);
+        let (db2, report) = NStore::recover(&p2, &heap2, 8, 4 * WAL_ENTRY);
+        assert_eq!(report.adopted, 4);
+        assert_eq!(db2.read(1, 0, &NoopTracker, None), Some(11), "the newer write is redone last");
+        assert_eq!(db2.read(3, 0, &NoopTracker, None), Some(30));
+        assert_eq!(db2.read(4, 0, &NoopTracker, None), Some(40));
+        assert_eq!(
+            db2.read(2, 0, &NoopTracker, None),
+            None,
+            "log-only recovery loses a key last written more than one ring ago"
+        );
+        // The redo logged past the largest sequence number, so a write
+        // after recovery still orders last in the next recovery.
+        db2.put(3, [31; 4], &NoopTracker, None);
+        let p3 = CrashPolicy::Pessimistic.apply(&p2).reboot(8);
+        let heap3 = PmemHeap::open(&p3);
+        let (db3, _) = NStore::recover(&p3, &heap3, 8, 4 * WAL_ENTRY);
+        assert_eq!(db3.read(1, 0, &NoopTracker, None), Some(11));
+        assert_eq!(db3.read(3, 0, &NoopTracker, None), Some(31));
+        assert_eq!(db3.read(4, 0, &NoopTracker, None), Some(40));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! validation, and reports what it dropped so the crash-sweep oracle can
 //! attribute missing data to injected faults instead of application bugs.
 
+use nvm_runtime::{PAddr, CACHE_LINE};
 use std::fmt;
 
 /// Per-application checksum salts — a record replayed against the wrong
@@ -31,6 +32,15 @@ pub fn checksum(salt: u64, parts: &[u64]) -> u64 {
         h = z ^ (z >> 31);
     }
     h
+}
+
+/// Whether the `len` bytes at `at` touch one of the `failed` lines
+/// (ascending, as [`nvm_runtime::PmemPool::read_lines`] returns them):
+/// the record's media stayed unreadable, so recovery drops and scrubs it.
+pub(crate) fn on_failed_line(failed: &[u64], at: PAddr, len: u64) -> bool {
+    let first = at.0 / CACHE_LINE;
+    let last = (at.0 + len - 1) / CACHE_LINE;
+    failed.get(failed.partition_point(|&line| line < first)).is_some_and(|&line| line <= last)
 }
 
 /// What one `recover()` pass saw.

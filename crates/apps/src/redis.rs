@@ -4,7 +4,7 @@
 //! fence), then applies the update to the keyspace record (write + flush +
 //! fence). This is the highest-fence-rate application of the three.
 
-use crate::recovery::{checksum, RecoveryReport, REDIS_AOF_SALT};
+use crate::recovery::{checksum, on_failed_line, RecoveryReport, REDIS_AOF_SALT};
 use crate::store::{PersistStyle, PmKv};
 use crate::tracker::{NoopTracker, Tracker};
 use crate::workloads::{BenchApp, ClientCtx, OpKind};
@@ -68,6 +68,12 @@ impl<'p> Redis<'p> {
     /// Entries whose checksum fails (torn append) or whose line errors at
     /// the media level are scrubbed and dropped — they were never
     /// acknowledged durably intact.
+    ///
+    /// The log is read once, with [`PmemPool::read_lines`], and parsed
+    /// from that buffer. Only the log is replayed, so once the ring has
+    /// wrapped, a key whose last write is more than one ring capacity old
+    /// is lost (the sweep scripts write 16 keys, far below the 1,024-entry
+    /// ring).
     pub fn recover(
         pool: &'p PmemPool,
         heap: &'p PmemHeap<'p>,
@@ -76,43 +82,39 @@ impl<'p> Redis<'p> {
     ) -> (Redis<'p>, RecoveryReport) {
         let base = heap.root();
         assert!(!base.is_null(), "no AOF root: pool was never a Redis pool");
+        let mut log = vec![0u8; (aof_capacity / AOF_ENTRY * AOF_ENTRY) as usize];
+        let failed = pool.read_lines(base, &mut log).expect("the AOF lies inside the pool");
         // Collect entries in seq order (op 0 = empty slot). Ring wrap is
         // handled by sorting on seq.
         let mut report = RecoveryReport::default();
         let mut entries: Vec<(u64, u64, u64, u64)> = Vec::new(); // (seq, op, key, val)
-        let mut slot = 0;
-        while slot + AOF_ENTRY <= aof_capacity {
-            let at = base.offset(slot);
-            let mut bytes = [0u8; AOF_USED as usize];
-            let scrub = match pool.read_reliable(at, &mut bytes, 2) {
-                Err(_) => {
+        for (slot, bytes) in log.chunks_exact(AOF_ENTRY as usize).enumerate() {
+            let at = base.offset(slot as u64 * AOF_ENTRY);
+            let scrub = if on_failed_line(&failed, at, AOF_USED) {
+                report.scanned += 1;
+                report.poisoned_dropped += 1;
+                true
+            } else {
+                let word =
+                    |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
+                let (op, key, val, seq, sum) = (word(0), word(1), word(2), word(3), word(4));
+                if op == 0 {
+                    false
+                } else if sum == aof_sum(op, key, val, seq) {
                     report.scanned += 1;
-                    report.poisoned_dropped += 1;
+                    report.adopted += 1;
+                    entries.push((seq, op, key, val));
+                    false
+                } else {
+                    report.scanned += 1;
+                    report.torn_dropped += 1;
                     true
-                }
-                Ok(()) => {
-                    let word =
-                        |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-                    let (op, key, val, seq, sum) = (word(0), word(1), word(2), word(3), word(4));
-                    if op == 0 {
-                        false
-                    } else if sum == aof_sum(op, key, val, seq) {
-                        report.scanned += 1;
-                        report.adopted += 1;
-                        entries.push((seq, op, key, val));
-                        false
-                    } else {
-                        report.scanned += 1;
-                        report.torn_dropped += 1;
-                        true
-                    }
                 }
             };
             if scrub {
                 pool.write(at, &[0u8; AOF_ENTRY as usize]);
                 pool.persist(at, AOF_ENTRY);
             }
-            slot += AOF_ENTRY;
         }
         entries.sort_unstable();
         let kv = PmKv::new(pool, heap, PersistStyle::Strict, shards);

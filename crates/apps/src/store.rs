@@ -29,6 +29,8 @@ use std::collections::HashMap;
 
 /// Record size: one cache line.
 pub const RECORD_BYTES: u64 = 64;
+/// Bytes of a record in use: key, value, version and sum.
+pub(crate) const RECORD_USED: u64 = 32;
 
 const OFF_KEY: u64 = 0;
 const OFF_VAL: u64 = 8;
@@ -53,33 +55,31 @@ pub(crate) fn fresh_version(pool: &PmemPool, block: PAddr, off: u64) -> (u64, bo
     }
 }
 
-/// Outcome of validating one record slot during a recovery scan.
+/// What a recovery scan finds in one record slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordScan {
+pub(crate) enum RecordSlot {
     /// Key is zero: a free or deleted slot.
     Empty,
     /// Checksum validates; safe to adopt.
-    Valid { key: u64, value: u64 },
+    Valid { key: u64 },
     /// Non-zero key but a bad checksum: a torn write.
     Torn,
-    /// The line's media errored even after retries.
+    /// The line's media stayed unreadable (never returned by
+    /// [`parse_record`]: the scan knows it from the read).
     Poisoned,
 }
 
-/// Validate the record at `rec` (used by application recovery).
-pub fn scan_record(pool: &PmemPool, rec: PAddr) -> RecordScan {
-    let mut bytes = [0u8; 32];
-    if pool.read_reliable(rec, &mut bytes, 2).is_err() {
-        return RecordScan::Poisoned;
-    }
-    let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-    let (key, val, ver, sum) = (word(0), word(1), word(2), word(3));
+/// Validate the record whose slot reads as `bytes`.
+pub(crate) fn parse_record(bytes: &[u8]) -> RecordSlot {
+    let word =
+        |off: u64| u64::from_le_bytes(bytes[off as usize..off as usize + 8].try_into().unwrap());
+    let (key, val, ver, sum) = (word(OFF_KEY), word(OFF_VAL), word(OFF_VER), word(OFF_SUM));
     if key == 0 {
-        RecordScan::Empty
+        RecordSlot::Empty
     } else if sum == record_sum(key, val, ver) {
-        RecordScan::Valid { key, value: val }
+        RecordSlot::Valid { key }
     } else {
-        RecordScan::Torn
+        RecordSlot::Torn
     }
 }
 

@@ -9,6 +9,9 @@
 //!   1–3;
 //! * the same for the faulted smoke run (20 steps, torn 0.3, drop-flush
 //!   0.1, poison 0.005, oracle) at seeds 1–2;
+//! * the same with poison alone at 0.02 (32 steps, oracle, seeded bugs)
+//!   at seeds 1–2, so that every recovery's drop-and-scrub path for log
+//!   slots and records on poisoned lines runs on nearly every image;
 //! * `DsSweepOutcome::summary()` for all 17 DS cells, exhaustive and
 //!   pruned, with the oracle on.
 //!
@@ -80,6 +83,20 @@ fn faulted_smoke_sweeps_match_golden() {
         ..Default::default()
     };
     assert_golden("sweep_faulted.txt", &render_sweeps(base, &[1, 2]));
+}
+
+#[test]
+fn poisoned_sweeps_match_golden() {
+    let base = SweepConfig {
+        steps: 32,
+        random_seeds: 2,
+        fault: FaultConfig { poison_rate: 0.02, ..Default::default() },
+        inject_bug: true,
+        oracle: true,
+        jobs: 2,
+        ..Default::default()
+    };
+    assert_golden("sweep_poisoned.txt", &render_sweeps(base, &[1, 2]));
 }
 
 #[test]

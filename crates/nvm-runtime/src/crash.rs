@@ -97,8 +97,9 @@ impl CrashImage {
     ///
     /// Transient poison is deliberately excluded: it clears after a single
     /// failed read, and every recovery path reads through
-    /// [`crate::PmemPool::read_reliable`] with at least one retry, so it
-    /// can never alter what recovery adopts or drops. Hashing it would
+    /// [`crate::PmemPool::read_lines`] or [`crate::PmemPool::read_reliable`]
+    /// with at least one retry, so it can never alter what recovery adopts
+    /// or drops. Hashing it would
     /// split logically identical crash states into distinct classes.
     pub fn content_hash(&self) -> u64 {
         // FNV-1a over 8-byte words.

@@ -31,6 +31,14 @@
 //! only non-zero lines, and rebooting an image
 //! ([`crate::CrashImage::reboot`]) installs exactly those lines.
 //!
+//! Reads fail on poisoned lines ([`PmemError::MediaError`]).
+//! [`PmemPool::try_read`] stops at the first poisoned line and
+//! [`PmemPool::read_reliable`] retries a range as a whole; recovery
+//! scans read a whole log with [`PmemPool::read_lines`], which checks
+//! the poison set once, takes each shard's lock once for its span and
+//! reports the unreadable lines, so one read replaces a retried read per
+//! log slot.
+//!
 //! An optional latency model charges a busy-wait per write-back and fence,
 //! so performance bugs (redundant flushes, §3.3: "an additional writeback
 //! can introduce extra latency by 2–4×") have measurable cost.
@@ -400,8 +408,14 @@ impl PmemPool {
                 }
             }
         }
-        let mut off = addr.0;
-        let mut rest = &mut buf[..];
+        self.load(addr.0, buf);
+        Ok(())
+    }
+
+    /// Copy the visible bytes at `off` into `buf`, taking each shard's
+    /// lock once for its span.
+    fn load(&self, mut off: u64, buf: &mut [u8]) {
+        let mut rest = buf;
         while !rest.is_empty() {
             let si = self.shard_of(off);
             let shard = self.shards[si].lock();
@@ -411,7 +425,49 @@ impl PmemPool {
             off += n as u64;
             rest = &mut rest[n..];
         }
-        Ok(())
+    }
+
+    /// Load a whole range in one pass, as recovery scans read their logs:
+    /// the poison set is checked once and each shard's lock is taken once
+    /// for its span, where reading the range one line at a time would take
+    /// both per line. Poisoned lines behave as a per-line
+    /// [`PmemPool::read_reliable`] with two retries would: a transient
+    /// line fails one read and clears, so it reads clean and leaves the
+    /// poison set; a permanently poisoned line stays unreadable and
+    /// poisoned. Returns the permanently poisoned lines the range touches,
+    /// in ascending order; their bytes in `buf` read as zeros. An
+    /// out-of-range request fails before anything is read. Counts one
+    /// load.
+    pub fn read_lines(&self, addr: PAddr, buf: &mut [u8]) -> Result<Vec<u64>, PmemError> {
+        self.range_ok(addr, buf.len() as u64)?;
+        self.stats.loads.fetch_add(1, Ordering::Relaxed);
+        if buf.is_empty() {
+            return Ok(Vec::new());
+        }
+        let first = addr.line();
+        let last = PAddr(addr.0 + buf.len() as u64 - 1).line();
+        let mut failed = Vec::new();
+        {
+            let mut poisoned = self.poisoned.lock();
+            if !poisoned.is_empty() {
+                for line in first..=last {
+                    match poisoned.get(&line) {
+                        Some(true) => {
+                            poisoned.remove(&line);
+                        }
+                        Some(false) => failed.push(line),
+                        None => {}
+                    }
+                }
+            }
+        }
+        self.load(addr.0, buf);
+        for &line in &failed {
+            let a = (line * CACHE_LINE).max(addr.0) - addr.0;
+            let b = ((line + 1) * CACHE_LINE - addr.0).min(buf.len() as u64);
+            buf[a as usize..b as usize].fill(0);
+        }
+        Ok(failed)
     }
 
     /// Bounded retry-then-degrade read: transient media errors are retried
