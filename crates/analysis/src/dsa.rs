@@ -201,19 +201,6 @@ impl FunctionDsg {
         (0..self.nodes.len()).map(|i| self.uf.find_const(i)).collect()
     }
 
-    /// Number of representative nodes whose objects may be persistent.
-    pub fn persistent_node_count(&self) -> usize {
-        self.rep_nodes()
-            .into_iter()
-            .filter(|&n| {
-                matches!(
-                    self.nodes[n].persist_kind(),
-                    PersistKind::Persistent | PersistKind::Unknown
-                )
-            })
-            .count()
-    }
-
     /// The summary subgraph visible to callers: raw ids reachable from
     /// parameters and the return value.
     fn summary_reachable(&self) -> BTreeSet<usize> {

@@ -16,9 +16,10 @@
 //! * [`trace`] — bounded-DFS trace collection with interprocedural call
 //!   inlining, loop bound 10 and recursion bound 5 by default (paper §4.3),
 //!   producing the persistent-operation traces the static checker consumes.
-//! * [`pool`] — a small work-stealing worker pool used to fan independent
-//!   analysis roots (and other embarrassingly-parallel loops) over cores
-//!   while keeping merged results deterministic.
+//! * [`pool`] — a shared-queue fan-out in which the caller and scoped
+//!   helper threads run independent analysis roots (and other
+//!   embarrassingly-parallel loops) while keeping merged results
+//!   deterministic.
 
 pub mod callgraph;
 pub mod cfg;

@@ -1,17 +1,14 @@
-//! Work-stealing worker pool for embarrassingly-parallel analysis loops.
+//! Fan-out for embarrassingly-parallel analysis loops.
 //!
-//! The static checker's per-root pipeline, the crash-point sweep, and the
-//! repro benchmarks all share the same shape: a statically known list of
-//! independent work items whose results are merged in item order. This
-//! module runs such a list over a small pool of scoped worker threads.
-//!
-//! Scheduling is work-stealing over per-worker deques: items are dealt
-//! round-robin at startup, each worker pops from the *front* of its own
-//! deque and, when empty, steals from the *back* of a sibling's — the
-//! classic split that keeps cache-warm items local and migrates only the
-//! coldest work. Results are sent back over a channel tagged with the
-//! item index and reassembled in input order, so callers observe a
-//! deterministic, schedule-independent result vector.
+//! The static checker's per-root pipeline and the crash explorer share
+//! one shape: a statically known list of independent work items whose
+//! results are merged in item order. [`run_indexed_caught`] runs such a
+//! list on the calling thread plus up to `jobs - 1` scoped helper
+//! threads. Every worker, the caller included, takes the next item from
+//! one shared queue until the queue is empty, so a slow item holds back
+//! only the worker running it. Each worker keeps its results tagged with
+//! the item index and the caller puts them back in item order, so
+//! callers observe a deterministic, schedule-independent result vector.
 //!
 //! Each job body runs under [`std::panic::catch_unwind`]: a panicking
 //! item becomes an `Err(message)` in the result slot of
@@ -21,30 +18,27 @@
 //! that cannot represent partial failure still behave as the same loop
 //! would have sequentially.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 
 use parking_lot::Mutex;
 
-/// Resolve a worker count: an explicit request wins, then the
-/// `DEEPMC_JOBS` environment variable, then the machine's available
-/// parallelism. Always at least 1.
+/// Resolve a user-facing `--jobs N` request: a positive `N` is taken
+/// literally; `0` defers to the `DEEPMC_JOBS` environment variable, then
+/// to the machine's available parallelism. Always at least 1.
 ///
-/// An unparsable `DEEPMC_JOBS` warns (stderr + obs layer) and falls
-/// back to the next source — a typo must not silently serialize or
-/// misconfigure the run.
-pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    resolve_jobs_with_env(explicit, std::env::var("DEEPMC_JOBS").ok().as_deref())
+/// Every CLI that exposes a `--jobs` flag routes through this helper so
+/// `0` behaves identically everywhere. An unparsable `DEEPMC_JOBS` warns
+/// (stderr + obs layer) and falls back to the next source — a typo must
+/// not silently serialize or misconfigure the run.
+pub fn resolve_jobs(requested: usize) -> usize {
+    resolve_jobs_with_env(requested, std::env::var("DEEPMC_JOBS").ok().as_deref())
 }
 
 /// [`resolve_jobs`] with the environment value injected, so the fallback
 /// and warning paths are unit-testable without touching process env.
-pub fn resolve_jobs_with_env(explicit: Option<usize>, env: Option<&str>) -> usize {
-    if let Some(n) = explicit {
-        if n > 0 {
-            return n;
-        }
+pub fn resolve_jobs_with_env(requested: usize, env: Option<&str>) -> usize {
+    if requested > 0 {
+        return requested;
     }
     if let Some(v) = env {
         match v.trim().parse::<usize>() {
@@ -59,17 +53,6 @@ pub fn resolve_jobs_with_env(explicit: Option<usize>, env: Option<&str>) -> usiz
         }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Resolve a user-facing `--jobs N` request where `0` means "all cores".
-///
-/// Every CLI that exposes a `--jobs` flag must route through this helper
-/// so `0` behaves identically everywhere: it defers to `DEEPMC_JOBS`,
-/// then available parallelism — the same fallback chain as omitting the
-/// flag. (`check` and `crashsweep` used to disagree here, each rejecting
-/// `--jobs 0` at a different layer.)
-pub fn resolve_jobs_request(requested: usize) -> usize {
-    resolve_jobs((requested > 0).then_some(requested))
 }
 
 /// Render a panic payload as a human-readable message. Panics raised via
@@ -88,9 +71,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Run `f` over every item on up to `jobs` workers, returning the results
 /// in item order regardless of which worker computed what.
 ///
-/// With `jobs <= 1` (or one item) the items run inline on the calling
-/// thread, in order — the zero-thread path parallel callers are compared
-/// against for byte-identity.
+/// The calling thread is one of the workers, so with `jobs <= 1` (`0`
+/// acts as 1) or a single item no thread starts and the items run on the
+/// caller, in order.
 ///
 /// A panicking item re-raises out of this function (first in item order)
 /// once all workers have drained; use [`run_indexed_caught`] to receive
@@ -125,82 +108,47 @@ where
     // its items to the declared total, each completed item ticks.
     // Strictly stderr presentation; results are untouched.
     deepmc_obs::progress::add_total(n as u64);
-    if jobs <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                deepmc_obs::counter("pool.items", 1);
-                let r = {
-                    let _s = deepmc_obs::span_lazy("pool.job", || {
-                        vec![("index", i.to_string()), ("stolen", "false".to_string())]
-                    });
-                    catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(panic_message)
-                };
-                deepmc_obs::progress::tick(1);
-                r
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // Take the item in a statement of its own: the queue guard
+            // must drop before the job runs, or the workers run in turn.
+            let next = queue.lock().next();
+            let Some((i, item)) = next else { return done };
+            deepmc_obs::counter("pool.items", 1);
+            let r = {
+                let _s = deepmc_obs::span_lazy("pool.job", || vec![("index", i.to_string())]);
+                catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(panic_message)
+            };
+            deepmc_obs::progress::tick(1);
+            done.push((i, r));
+        }
+    };
+    let drain = &drain;
+    // If the caller is recording, helpers attach to the same recorder
+    // under worker ids 1, 2, … (the caller thread is worker 0), so spans
+    // carry the worker that ran them.
+    let recorder = deepmc_obs::Recorder::current();
+    let mut out: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..jobs.min(n))
+            .map(|w| {
+                let recorder = recorder.clone();
+                s.spawn(move || {
+                    let _attach = recorder.as_ref().map(|r| r.attach(w as u32));
+                    drain()
+                })
             })
             .collect();
-    }
-    let workers = jobs.min(n);
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].lock().push_back((i, item));
-    }
-    let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
-    // If the caller is recording, workers attach to the same recorder
-    // under worker ids 1..=N (the caller thread is worker 0), so spans
-    // carry the executing worker and steals are visible in the trace.
-    let recorder = deepmc_obs::Recorder::current();
-    let deques = &deques;
-    let f = &f;
-    crossbeam::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let recorder = recorder.clone();
-            s.spawn(move |_| {
-                let _attach = recorder.as_ref().map(|r| r.attach(w as u32 + 1));
-                loop {
-                    // Own deque first (front: oldest local item), then
-                    // steal from the back of the nearest non-empty
-                    // sibling. The own-deque guard must drop before the
-                    // steal loop — holding it while locking a sibling
-                    // deadlocks two empty workers against each other.
-                    let own = deques[w].lock().pop_front();
-                    let job = match own {
-                        Some(j) => Some((j, false)),
-                        None => (1..workers)
-                            .find_map(|d| deques[(w + d) % workers].lock().pop_back())
-                            .map(|j| (j, true)),
-                    };
-                    let Some(((i, item), stolen)) = job else { return };
-                    deepmc_obs::counter("pool.items", 1);
-                    if stolen {
-                        deepmc_obs::counter("pool.steals", 1);
-                    }
-                    let r = {
-                        let _s = deepmc_obs::span_lazy("pool.job", || {
-                            vec![("index", i.to_string()), ("stolen", stolen.to_string())]
-                        });
-                        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(panic_message)
-                    };
-                    deepmc_obs::progress::tick(1);
-                    // The work set is static: once every deque is empty
-                    // the worker can retire — nothing re-enqueues.
-                    if tx.send((i, r)).is_err() {
-                        return;
-                    }
-                }
-            });
+        let own = drain();
+        let helped = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool helper panicked outside a job body"));
+        for (i, r) in own.into_iter().chain(helped) {
+            out[i] = Some(r);
         }
-        drop(tx);
-    })
-    .expect("analysis worker panicked outside a job body");
-    let mut out: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    for (i, r) in rx {
-        out[i] = Some(r);
-    }
+    });
     out.into_iter().map(|r| r.expect("every work item produces exactly one result")).collect()
 }
 
@@ -208,27 +156,38 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// Every worker count the pool must treat alike (0 acts as 1; 200
+    /// exceeds every item count) crossed with the item counts at its
+    /// edges: none, one, two, and many more than the workers.
+    const JOBS: [usize; 6] = [0, 1, 2, 3, 8, 200];
+    const ITEMS: [usize; 4] = [0, 1, 2, 97];
 
     #[test]
     fn results_are_in_item_order_for_any_worker_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for jobs in [0, 1, 2, 3, 8, 200] {
-            let got = run_indexed(jobs, items.clone(), |_, x| x * x);
-            assert_eq!(got, expect, "jobs={jobs}");
+        for n in ITEMS {
+            let items: Vec<u64> = (0..n as u64).collect();
+            let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
+            for jobs in JOBS {
+                let got = run_indexed(jobs, items.clone(), |_, x| x * x);
+                assert_eq!(got, expect, "jobs={jobs} items={n}");
+            }
         }
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
-        let hits = AtomicUsize::new(0);
-        let got = run_indexed(4, (0..1000).collect::<Vec<usize>>(), |i, item| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(i, item);
-            i
-        });
-        assert_eq!(hits.into_inner(), 1000);
-        assert_eq!(got.len(), 1000);
+        for (jobs, n) in JOBS.iter().flat_map(|&j| ITEMS.map(|n| (j, n))).chain([(4, 1000)]) {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let got = run_indexed(jobs, (0..n).collect::<Vec<usize>>(), |i, item| {
+                hits[item].fetch_add(1, Ordering::Relaxed);
+                assert_eq!(i, item);
+                i
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "jobs={jobs} items={n}");
+            assert_eq!(got.len(), n);
+        }
     }
 
     #[test]
@@ -238,15 +197,35 @@ mod tests {
     }
 
     #[test]
-    fn workers_steal_imbalanced_items() {
-        // One item is vastly heavier; stealing keeps the rest flowing.
+    fn imbalanced_items_complete_in_order() {
+        // One item is vastly heavier; the other workers keep taking the
+        // rest from the shared queue meanwhile.
         let got = run_indexed(4, (0..32u64).collect::<Vec<_>>(), |_, x| {
             if x == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(20));
             }
             x + 1
         });
         assert_eq!(got, (1..=32u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn two_jobs_of_one_batch_run_at_the_same_time() {
+        // Each job waits, with a deadline, until the other has started.
+        // A pool that runs its jobs one after another (say, one holding
+        // the queue lock through a job) times both waits out.
+        let started = (std::sync::Mutex::new(0usize), std::sync::Condvar::new());
+        let met = run_indexed(2, vec![(); 2], |_, ()| {
+            let (count, cv) = &started;
+            let mut count = count.lock().expect("no job panics while holding the count");
+            *count += 1;
+            cv.notify_all();
+            let waited = cv
+                .wait_timeout_while(count, Duration::from_secs(5), |c| *c < 2)
+                .expect("no job panics while holding the count");
+            !waited.1.timed_out()
+        });
+        assert_eq!(met, vec![true, true], "both jobs of the batch were running at once");
     }
 
     /// Suppress the default panic hook's stderr noise for panics whose
@@ -272,19 +251,21 @@ mod tests {
     #[test]
     fn caught_panics_become_err_slots_in_item_order() {
         quiet_chaos_panics();
-        for jobs in [1, 4] {
-            let got = run_indexed_caught(jobs, (0..16u64).collect::<Vec<_>>(), |_, x| {
-                if x % 5 == 0 {
-                    panic!("chaos: item {x}");
-                }
-                x * 2
-            });
-            assert_eq!(got.len(), 16, "jobs={jobs}");
-            for (i, r) in got.iter().enumerate() {
-                if i % 5 == 0 {
-                    assert_eq!(r.as_ref().unwrap_err(), &format!("chaos: item {i}"));
-                } else {
-                    assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2));
+        for n in ITEMS.into_iter().chain([16]) {
+            for jobs in JOBS {
+                let got = run_indexed_caught(jobs, (0..n as u64).collect::<Vec<_>>(), |_, x| {
+                    if x % 5 == 0 {
+                        panic!("chaos: item {x}");
+                    }
+                    x * 2
+                });
+                assert_eq!(got.len(), n, "jobs={jobs} items={n}");
+                for (i, r) in got.iter().enumerate() {
+                    if i % 5 == 0 {
+                        assert_eq!(r.as_ref().unwrap_err(), &format!("chaos: item {i}"));
+                    } else {
+                        assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2));
+                    }
                 }
             }
         }
@@ -334,36 +315,36 @@ mod tests {
 
     #[test]
     fn resolve_jobs_prefers_explicit() {
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(None) >= 1);
+        assert_eq!(resolve_jobs(3), 3);
+        assert!(resolve_jobs(0) >= 1);
     }
 
     #[test]
-    fn resolve_jobs_request_treats_zero_as_all_cores() {
+    fn resolve_jobs_treats_zero_as_all_cores() {
         // Positive requests are taken literally.
-        assert_eq!(resolve_jobs_request(5), 5);
-        // `--jobs 0` falls back through the same chain as omitting the
-        // flag entirely: DEEPMC_JOBS, then available parallelism.
-        assert_eq!(resolve_jobs_request(0), resolve_jobs(None));
-        assert!(resolve_jobs_request(0) >= 1);
+        assert_eq!(resolve_jobs_with_env(5, None), 5);
+        // `--jobs 0` falls back through DEEPMC_JOBS, then available
+        // parallelism.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_jobs_with_env(0, None), cores);
     }
 
     #[test]
     fn resolve_jobs_env_precedence() {
         // Explicit beats env; a valid env beats the machine default.
-        assert_eq!(resolve_jobs_with_env(Some(2), Some("7")), 2);
-        assert_eq!(resolve_jobs_with_env(None, Some("7")), 7);
-        assert_eq!(resolve_jobs_with_env(None, Some(" 5 ")), 5, "whitespace tolerated");
+        assert_eq!(resolve_jobs_with_env(2, Some("7")), 2);
+        assert_eq!(resolve_jobs_with_env(0, Some("7")), 7);
+        assert_eq!(resolve_jobs_with_env(0, Some(" 5 ")), 5, "whitespace tolerated");
     }
 
     #[test]
     fn resolve_jobs_unparsable_env_warns_and_falls_back() {
-        let fallback = resolve_jobs_with_env(None, None);
+        let fallback = resolve_jobs_with_env(0, None);
         for bad in ["banana", "", "-2", "0", "4.5"] {
             let rec = deepmc_obs::Recorder::new();
             let got = {
                 let _a = rec.attach(0);
-                resolve_jobs_with_env(None, Some(bad))
+                resolve_jobs_with_env(0, Some(bad))
             };
             assert_eq!(got, fallback, "DEEPMC_JOBS={bad:?} falls back, not silently serializes");
             let data = rec.finish();
@@ -377,26 +358,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_records_jobs_and_steals_when_attached() {
-        let rec = deepmc_obs::Recorder::new();
-        {
-            let _a = rec.attach(0);
-            // A heavy head item forces the other workers to steal.
-            let got = run_indexed(4, (0..16u64).collect::<Vec<_>>(), |_, x| {
-                if x == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+    fn pool_records_jobs_when_attached() {
+        for n in ITEMS {
+            for jobs in JOBS {
+                let rec = deepmc_obs::Recorder::new();
+                {
+                    let _a = rec.attach(0);
+                    let got = run_indexed(jobs, (0..n as u64).collect::<Vec<_>>(), |_, x| x);
+                    assert_eq!(got.len(), n);
                 }
-                x
-            });
-            assert_eq!(got.len(), 16);
+                let data = rec.finish();
+                let tag = format!("jobs={jobs} items={n}");
+                assert_eq!(data.counter("pool.items"), n as u64, "{tag}: items counted once");
+                assert_eq!(data.spans_of("pool.job").count(), n, "{tag}: one span per job");
+                // The caller is worker 0 and helpers are 1, 2, …: at most
+                // one worker per item, and jobs 0 acts as 1.
+                let lanes = jobs.clamp(1, n.max(1)) as u32;
+                assert!(data.spans_of("pool.job").all(|e| e.worker < lanes), "{tag}");
+            }
         }
-        let data = rec.finish();
-        assert_eq!(data.counter("pool.items"), 16, "every item counted exactly once");
-        assert_eq!(data.spans_of("pool.job").count(), 16, "one span per job");
-        // Workers are 1-based; the caller thread (0) records no job
-        // spans on the threaded path.
-        assert!(data.spans_of("pool.job").all(|e| e.worker >= 1));
-        assert!(data.counter("pool.steals") <= 15, "steal count bounded by item count");
     }
 
     #[test]
@@ -408,7 +388,6 @@ mod tests {
         }
         let data = rec.finish();
         assert_eq!(data.counter("pool.items"), 3);
-        assert_eq!(data.counter("pool.steals"), 0);
         assert!(data.spans_of("pool.job").all(|e| e.worker == 0));
     }
 }

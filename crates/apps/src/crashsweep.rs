@@ -755,7 +755,7 @@ impl SweepRun {
 
 /// Sweep one application: crash after every op under every policy.
 ///
-/// Crash steps fan out over a work-stealing pool sized by
+/// Crash steps fan out over a shared-queue pool sized by
 /// [`SweepConfig::jobs`]; per-step results merge in step order, so the
 /// outcome (counter for counter, violation for violation) is identical
 /// for any worker count.

@@ -48,7 +48,7 @@
 //! journals).
 
 use crate::crashsweep::SweepSession;
-use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
+use deepmc_analysis::pool::{resolve_jobs, run_indexed};
 use deepmc_obs as obs;
 use nvm_runtime::{CrashImage, CrashPolicy, PmemPool};
 use serde::{Deserialize, Serialize};
@@ -204,7 +204,7 @@ pub(crate) fn explore<T: CrashTarget>(
     if session.is_cancelled() {
         return Explored { skipped: total as u64, ..Default::default() };
     }
-    let jobs = resolve_jobs_request(jobs);
+    let jobs = resolve_jobs(jobs);
     if prune {
         pruned(target, jobs, session, &mut fold)
     } else {

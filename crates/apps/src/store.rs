@@ -370,18 +370,17 @@ mod tests {
         let p = pool();
         let heap = PmemHeap::open(&p);
         let kv = PmKv::new(&p, &heap, PersistStyle::Strict, 16);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u64 {
                 let kv = &kv;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..200u64 {
                         let key = t * 1_000_000 + i;
                         assert!(kv.set(key, key * 2, &NoopTracker, None));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(kv.len(), 8 * 200);
         for t in 0..8u64 {
             for i in (0..200u64).step_by(37) {

@@ -143,12 +143,6 @@ impl Throughput {
     pub fn ops_per_sec(&self) -> f64 {
         self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
-
-    /// Relative slowdown of `self` (instrumented) vs `baseline`:
-    /// `1 - tps_self / tps_baseline`, in percent.
-    pub fn overhead_vs(&self, baseline: &Throughput) -> f64 {
-        (1.0 - self.ops_per_sec() / baseline.ops_per_sec()) * 100.0
-    }
 }
 
 #[cfg(test)]
@@ -468,9 +462,9 @@ pub fn run_bench_with(
 ) -> Throughput {
     app.preload(keyspace);
     let start = std::time::Instant::now();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for id in 0..clients {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let strand = tracker.region_begin();
                 let ctx = ClientCtx { id, tracker, strand };
                 let mut stream = OpStream::new(spec, keyspace, id as u64);
@@ -498,8 +492,7 @@ pub fn run_bench_with(
                 }
             });
         }
-    })
-    .expect("bench clients must not panic");
+    });
     Throughput { ops: clients as u64 * ops_per_client, elapsed: start.elapsed() }
 }
 
@@ -550,10 +543,10 @@ pub fn ds_driver(spec: &DsDriverSpec, tracker: &dyn crate::tracker::Tracker) -> 
     let inst = crate::ds::DsInstance::create(spec.kind, spec.bug, &heap);
     let batch = spec.kind.batch();
     let start = std::time::Instant::now();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for id in 0..spec.threads {
             let inst = &inst;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let strand = tracker.region_begin();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed ^ (id as u64) << 32);
                 for i in 0..spec.ops_per_thread {
@@ -577,8 +570,7 @@ pub fn ds_driver(spec: &DsDriverSpec, tracker: &dyn crate::tracker::Tracker) -> 
                 }
             });
         }
-    })
-    .expect("ds clients must not panic");
+    });
     Throughput { ops: spec.threads as u64 * spec.ops_per_thread, elapsed: start.elapsed() }
 }
 

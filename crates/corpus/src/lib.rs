@@ -11,7 +11,7 @@
 //! [`ground_truth`] is the corpus specification: one entry per expected
 //! warning, labeled with its bug class, study/new origin, library/example
 //! location, and validity. The Table-1/2/3/8 reproduction harness runs
-//! DeepMC over [`all_frameworks`] and scores the report against this
+//! DeepMC over [`Framework::ALL`] and scores the report against this
 //! table.
 
 pub mod ground_truth;
@@ -99,11 +99,6 @@ impl Framework {
         let config = deepmc::DeepMcConfig::new(self.model());
         deepmc::StaticChecker::new(config).check_program(&self.program())
     }
-}
-
-/// All four frameworks in Table-1 order.
-pub fn all_frameworks() -> [Framework; 4] {
-    Framework::ALL
 }
 
 #[cfg(test)]

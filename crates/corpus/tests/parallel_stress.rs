@@ -1,7 +1,7 @@
 //! Stress: 100 parallel checks with randomized pool sizes over the
 //! corpus, every one byte-identical to the sequential report.
 //!
-//! The work-stealing fan-out has no deterministic schedule — which worker
+//! The shared-queue fan-out has no deterministic schedule — which worker
 //! checks which root varies run to run — so a single parallel-vs-
 //! sequential comparison can pass by luck. Hammering the checker with
 //! randomized worker counts (seeded LCG, cycling through the four

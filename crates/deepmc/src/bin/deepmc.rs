@@ -320,7 +320,7 @@ fn cmd_check_ds(args: &[String]) -> ExitCode {
                 Some(n) if n > 0 => steps = n,
                 _ => return usage(),
             },
-            // 0 is a valid request: "use all cores" (resolve_jobs_request).
+            // 0 is a valid request: "use all cores" (resolve_jobs).
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => jobs = n,
                 None => return usage(),
@@ -496,7 +496,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 Some(n) if n > 0 => cache_staleness_ms = Some(n),
                 _ => return usage(),
             },
-            // 0 is a valid request: "use all cores" (resolve_jobs_request).
+            // 0 is a valid request: "use all cores" (resolve_jobs).
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => jobs = n,
                 None => return usage(),
@@ -808,7 +808,7 @@ fn cmd_crashsweep(args: &[String]) -> ExitCode {
                     return usage();
                 }
             }
-            // 0 is a valid request: "use all cores" (resolve_jobs_request).
+            // 0 is a valid request: "use all cores" (resolve_jobs).
             "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => cfg.jobs = n,
                 None => return usage(),

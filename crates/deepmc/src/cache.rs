@@ -164,11 +164,6 @@ impl AnalysisCache {
         }
     }
 
-    /// Open the default `.deepmc-cache/` directory.
-    pub fn default_dir() -> AnalysisCache {
-        AnalysisCache::open(DEFAULT_CACHE_DIR)
-    }
-
     /// Builder-style: override the claim staleness cutoff (and, with it,
     /// the heartbeat interval). Mostly for tests and CI chaos harnesses.
     pub fn with_staleness(mut self, staleness: Duration) -> AnalysisCache {

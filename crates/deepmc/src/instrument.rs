@@ -14,7 +14,7 @@
 //! ablation bench (how many sites each strategy instruments).
 
 use deepmc_analysis::dsa::PersistKind;
-use deepmc_analysis::{CallGraph, DsaResult, FuncRef, Program};
+use deepmc_analysis::{DsaResult, FuncRef, Program};
 use deepmc_pir::{Inst, Terminator};
 use std::collections::{HashMap, HashSet};
 
@@ -125,22 +125,10 @@ fn strand_region_blocks(f: &deepmc_pir::Function) -> HashMap<u32, u32> {
     depth_at
 }
 
-/// Summary line for reports: how selective each strategy is on `program`.
-pub fn selectivity_report(program: &Program) -> Vec<(PlanScope, usize, usize)> {
-    let cg = CallGraph::build(program);
-    let dsa = DsaResult::analyze(program, &cg);
-    [PlanScope::AnnotatedRegions, PlanScope::AllPersistent, PlanScope::Everything]
-        .into_iter()
-        .map(|scope| {
-            let plan = InstrumentationPlan::build(program, &dsa, scope);
-            (scope, plan.sites.len(), plan.total_mem_ops)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepmc_analysis::CallGraph;
     use deepmc_pir::parse;
 
     fn plan(src: &str, scope: PlanScope) -> InstrumentationPlan {

@@ -45,7 +45,6 @@ pub mod config;
 pub mod dynamic;
 pub mod fixer;
 pub mod instrument;
-pub mod pool;
 pub mod report;
 pub mod static_checker;
 pub mod stats;

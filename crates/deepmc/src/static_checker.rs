@@ -123,8 +123,9 @@ impl StaticChecker {
 
     /// [`StaticChecker::check_program_cached`] with an explicit worker
     /// count: `0` resolves `DEEPMC_JOBS` / available cores, `1` forces the
-    /// sequential pipeline, `n > 1` fans the analysis roots over a
-    /// work-stealing pool of `n` workers sharing one trace collector.
+    /// sequential pipeline, `n > 1` fans the analysis roots out over the
+    /// calling thread and `n - 1` pool helpers sharing one trace
+    /// collector.
     ///
     /// The pipeline runs root by root. With a cache, each root's content
     /// key ([`cache::root_key`]) is looked up first; a hit replays the
@@ -145,7 +146,7 @@ impl StaticChecker {
         cache: Option<&AnalysisCache>,
         jobs: usize,
     ) -> (Report, CacheRunStats) {
-        let jobs = pool::resolve_jobs_request(jobs);
+        let jobs = pool::resolve_jobs(jobs);
         let cg = {
             let _s = obs::span("cfg");
             CallGraph::build(program)

@@ -2,7 +2,7 @@
 //! the sequential one.
 //!
 //! For randomly generated call-heavy programs (many analysis roots
-//! sharing randomly buggy callees — the shape the work-stealing fan-out
+//! sharing randomly buggy callees — the shape the shared-queue fan-out
 //! and the shared trace collector have to get right), checking with
 //! `--jobs 1` and with 4–8 workers must produce
 //!

@@ -37,7 +37,7 @@ use deepmc_obs as obs;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,19 +92,6 @@ impl Default for FaultConfig {
             torn_store_rate: 0.0,
             dropped_flush_rate: 0.0,
             poison_rate: 0.0,
-            transient_rate: 0.5,
-        }
-    }
-}
-
-impl FaultConfig {
-    /// All three fault classes at moderate rates — the crash-sweep preset.
-    pub fn aggressive(seed: u64) -> FaultConfig {
-        FaultConfig {
-            seed,
-            torn_store_rate: 0.25,
-            dropped_flush_rate: 0.1,
-            poison_rate: 0.002,
             transient_rate: 0.5,
         }
     }
@@ -229,9 +216,10 @@ impl FaultPlan {
         let expected = (total_lines as f64 * self.config.poison_rate).ceil() as u64;
         let mut rng = self.rng.lock();
         let mut out = Vec::new();
+        let mut drawn = HashSet::new();
         for _ in 0..expected {
             let line = rng.gen_range(1..total_lines);
-            if out.iter().any(|&(l, _)| l == line) {
+            if !drawn.insert(line) {
                 continue;
             }
             let transient = rng.gen_bool(self.config.transient_rate);

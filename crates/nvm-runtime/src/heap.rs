@@ -236,9 +236,9 @@ mod tests {
         let p = std::sync::Arc::new(pool());
         let h = PmemHeap::open(&p);
         let addrs = parking_lot::Mutex::new(Vec::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let mut local = Vec::new();
                     for _ in 0..16 {
                         let a = h.alloc(64);
@@ -248,8 +248,7 @@ mod tests {
                     addrs.lock().extend(local);
                 });
             }
-        })
-        .unwrap();
+        });
         let mut all = addrs.into_inner();
         all.sort();
         all.dedup();

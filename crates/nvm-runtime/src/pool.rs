@@ -1046,10 +1046,10 @@ mod tests {
     #[test]
     fn concurrent_cas_increments_never_lose_updates() {
         let p = std::sync::Arc::new(pool());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let p = p.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..100 {
                         loop {
                             let cur = p.read_u64(PAddr(0));
@@ -1060,18 +1060,17 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(p.read_u64(PAddr(0)), 800, "every increment landed exactly once");
     }
 
     #[test]
     fn concurrent_writers_disjoint_ranges() {
         let p = std::sync::Arc::new(pool());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u64 {
                 let p = p.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..64u64 {
                         let addr = PAddr(t * 4096 + i * 64);
                         p.write_u64(addr, t * 1000 + i);
@@ -1079,8 +1078,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for t in 0..8u64 {
             for i in 0..64u64 {
                 assert_eq!(p.read_u64(PAddr(t * 4096 + i * 64)), t * 1000 + i);

@@ -2,8 +2,8 @@
 //! `chrome://tracing` and Perfetto's UI load directly).
 //!
 //! Spans become complete events (`"ph":"X"`) with `tid` set to the
-//! worker id, so a work-stealing run shows one lane per worker and
-//! stolen jobs are visible as spans on a lane other than the dealer's.
+//! worker id, so a parallel run shows one lane per worker: the caller's
+//! lane 0 and one lane for each pool helper that ran a job.
 //! Instant events become `"ph":"i"` thread-scoped marks.
 //!
 //! The JSON is rendered by hand: the vendored serde has no map

@@ -13,16 +13,10 @@
 //! bounds (clamped to the observed max), so they are deterministic too —
 //! a proptest in this crate pins the associative/commutative merge law.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of linear sub-buckets per power-of-two octave (and the bound
 /// below which values are bucketed exactly). Must be a power of two.
 pub const SUBS: u64 = 16;
 const SUB_BITS: u32 = SUBS.trailing_zeros();
-
-/// Dense bucket count for `u64` values under this scheme:
-/// `SUBS` exact buckets + one run of `SUBS` per octave `SUB_BITS..=63`.
-const NUM_BUCKETS: usize = (SUBS as usize) * (64 - SUB_BITS as usize + 1);
 
 /// Map a value to its bucket index. Total order preserving: `a <= b`
 /// implies `index(a) <= index(b)`.
@@ -47,20 +41,9 @@ fn bucket_upper(idx: usize) -> u64 {
     lower + ((1u64 << (octave - SUB_BITS)) - 1)
 }
 
-/// One non-empty bucket in the sparse serialized form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bucket {
-    /// Bucket index (see [`bucket_index`]).
-    pub idx: u32,
-    /// Number of recorded values in the bucket.
-    pub n: u64,
-}
-
 /// A mergeable latency histogram over `u64` microsecond samples.
 ///
-/// Internally dense (a `Vec<u64>` grown to the highest touched index);
-/// serialized sparse via [`Bucket`] pairs so empty runs cost nothing in
-/// the ledger.
+/// Internally dense: a `Vec<u64>` grown to the highest touched index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
@@ -144,57 +127,15 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.percentile(99)
     }
-
-    /// Sparse serializable form, sorted by bucket index.
-    pub fn to_data(&self) -> HistogramData {
-        HistogramData {
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets: self
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| **n > 0)
-                .map(|(idx, n)| Bucket { idx: idx as u32, n: *n })
-                .collect(),
-        }
-    }
-}
-
-/// The sparse on-disk form of a [`Histogram`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramData {
-    pub count: u64,
-    pub sum: u64,
-    pub max: u64,
-    /// Non-empty buckets, ascending by index.
-    pub buckets: Vec<Bucket>,
-}
-
-impl HistogramData {
-    /// Rebuild the dense histogram. Out-of-range indices are rejected so
-    /// a corrupt ledger line cannot force a huge allocation.
-    pub fn to_histogram(&self) -> Result<Histogram, String> {
-        let mut h =
-            Histogram { count: self.count, sum: self.sum, max: self.max, counts: Vec::new() };
-        for b in &self.buckets {
-            let idx = b.idx as usize;
-            if idx >= NUM_BUCKETS {
-                return Err(format!("histogram bucket index {idx} out of range"));
-            }
-            if idx >= h.counts.len() {
-                h.counts.resize(idx + 1, 0);
-            }
-            h.counts[idx] += b.n;
-        }
-        Ok(h)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dense bucket count for `u64` values under this scheme:
+    /// `SUBS` exact buckets + one run of `SUBS` per octave `SUB_BITS..=63`.
+    const NUM_BUCKETS: usize = (SUBS as usize) * (64 - SUB_BITS as usize + 1);
 
     #[test]
     fn small_values_are_exact() {
@@ -282,30 +223,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, whole);
         assert_eq!(ba, whole, "merge is commutative");
-    }
-
-    #[test]
-    fn sparse_roundtrip() {
-        let mut h = Histogram::new();
-        for v in [0u64, 3, 17, 1 << 20, u64::MAX] {
-            h.record(v);
-        }
-        let data = h.to_data();
-        assert_eq!(data.to_histogram().expect("in range"), h);
-        let json = serde_json::to_string(&data).unwrap();
-        let back: HistogramData = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn corrupt_bucket_index_rejected() {
-        let data = HistogramData {
-            count: 1,
-            sum: 1,
-            max: 1,
-            buckets: vec![Bucket { idx: u32::MAX, n: 1 }],
-        };
-        assert!(data.to_histogram().is_err());
     }
 
     #[test]

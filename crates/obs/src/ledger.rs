@@ -25,7 +25,7 @@ use crate::metrics::{CounterMetric, PhaseMetric};
 use crate::ObsData;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Bump on ANY change to the shape of [`LedgerRecord`] or its children.
 pub const LEDGER_SCHEMA_VERSION: u32 = 1;
@@ -229,15 +229,11 @@ fn parse_line(line: &str) -> Result<LedgerRecord, String> {
     Ok(wrapper.record)
 }
 
-/// The default ledger path, as a `PathBuf`.
-pub fn default_path() -> PathBuf {
-    PathBuf::from(DEFAULT_LEDGER_PATH)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{counter, span, Recorder};
+    use std::path::PathBuf;
 
     fn sample(tool: &str, exit: i32) -> LedgerRecord {
         let rec = Recorder::new();

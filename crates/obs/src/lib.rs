@@ -65,7 +65,8 @@ pub struct Event {
     /// for warnings.
     pub cat: &'static str,
     /// Worker id of the thread that recorded the event (0 = the
-    /// driving/caller thread; pool workers are 1-based).
+    /// driving/caller thread, which also runs pool jobs; pool helpers
+    /// are 1-based).
     pub worker: u32,
     /// Span-nesting depth at the time the event was recorded (0 =
     /// top-level on its thread).
@@ -368,13 +369,6 @@ fn first_emission(name: &str, message: &str) -> bool {
     EMITTED.lock().get_or_insert_with(HashSet::new).insert(h)
 }
 
-/// Reset the printed-diagnostic dedup set (test hook: lets a test assert
-/// a warning prints without interference from earlier tests in the same
-/// process).
-pub fn reset_emitted_diagnostics() {
-    *EMITTED.lock() = None;
-}
-
 /// Surface a warning: printed to stderr (warnings must reach the user
 /// even with no recorder attached) the *first* time a given
 /// name/message pair occurs in this process, and recorded as a `"warn"`
@@ -571,8 +565,7 @@ impl ObsData {
         }
         if !per_worker.is_empty() {
             let jobs: u64 = per_worker.values().sum();
-            let stolen = self.counter("pool.steals");
-            write!(out, "pool: {jobs} job(s), {stolen} stolen; per-worker jobs:").unwrap();
+            write!(out, "pool: {jobs} job(s); per-worker jobs:").unwrap();
             for (w, n) in &per_worker {
                 write!(out, " {w}:{n}").unwrap();
             }

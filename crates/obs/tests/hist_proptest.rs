@@ -107,12 +107,4 @@ proptest! {
             "p{q} {reported} too far above exact {exact}"
         );
     }
-
-    /// The sparse serialized form roundtrips losslessly.
-    #[test]
-    fn sparse_roundtrip(samples in proptest::collection::vec(0u64..u64::MAX, 0..100)) {
-        let h = build(&samples);
-        let back = h.to_data().to_histogram().expect("valid buckets");
-        prop_assert_eq!(back, h);
-    }
 }

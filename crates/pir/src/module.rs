@@ -214,11 +214,6 @@ impl Function {
         self.locals[id.index()].ty
     }
 
-    /// Look up a block by label.
-    pub fn block_by_label(&self, label: &str) -> Option<BlockId> {
-        self.blocks.iter().position(|b| b.label == label).map(|i| BlockId(i as u32))
-    }
-
     /// True if the function carries `attr`.
     pub fn has_attr(&self, attr: FuncAttr) -> bool {
         self.attrs.contains(&attr)
