@@ -68,7 +68,8 @@
 //! the journal can no longer be trusted: it is quarantined and the open
 //! fails loudly rather than silently desynchronizing the replay.
 //! Cooperative interruption ([`SweepSession`]) stops scheduling new
-//! steps, drains in-flight workers, and leaves the journal flushed.
+//! steps, drains in-flight workers, and leaves the journal flushed; its
+//! trip point cuts after the same fresh step for any worker count.
 
 use crate::explore::{explore, mix, CrashTarget};
 use crate::memcached::Memcached;
@@ -582,7 +583,6 @@ struct JournalLine<A, E> {
 pub struct SweepJournal {
     done: HashMap<(String, u64), serde::Value>,
     file: Mutex<fs::File>,
-    appended: AtomicU64,
 }
 
 impl SweepJournal {
@@ -673,12 +673,17 @@ impl SweepJournal {
             f.flush()?;
             f
         };
-        Ok(SweepJournal { done, file: Mutex::new(file), appended: AtomicU64::new(0) })
+        Ok(SweepJournal { done, file: Mutex::new(file) })
     }
 
     /// Steps loaded from a previous run (skippable on this one).
     pub fn loaded_steps(&self) -> u64 {
         self.done.len() as u64
+    }
+
+    /// Was `target`'s `step` loaded from a previous run?
+    fn holds(&self, target: &str, step: u64) -> bool {
+        self.done.contains_key(&(target.to_string(), step))
     }
 
     /// The journaled record of `target`'s `step`, if one was loaded.
@@ -691,9 +696,8 @@ impl SweepJournal {
         serde::from_value(entry.clone()).ok()
     }
 
-    /// Append one completed step (single flushed write); returns how many
-    /// steps this run has journaled so far.
-    pub(crate) fn append<E: Serialize>(&self, target: &str, step: u64, entry: &E) -> u64 {
+    /// Append one completed step (single flushed write).
+    pub(crate) fn append<E: Serialize>(&self, target: &str, step: u64, entry: &E) {
         let line = JournalLine { app: target, step, entry };
         if let Ok(json) = serde_json::to_string(&line) {
             let mut buf = json.into_bytes();
@@ -702,7 +706,6 @@ impl SweepJournal {
             let _ = f.write_all(&buf);
             let _ = f.flush();
         }
-        self.appended.fetch_add(1, Ordering::SeqCst) + 1
     }
 }
 
@@ -711,17 +714,44 @@ impl SweepJournal {
 pub struct SweepSession<'a> {
     /// Completed steps are appended here and journaled steps skipped.
     pub journal: Option<&'a SweepJournal>,
-    /// Cooperative interrupt: after this many freshly journaled steps,
-    /// cancel the session (deterministic stand-in for Ctrl-C in tests and
-    /// CI; see `DEEPMC_SWEEP_INTERRUPT_AFTER`).
+    /// Cooperative interrupt: compute exactly the first this-many fresh
+    /// (not journaled) steps in canonical order, then cancel the session —
+    /// a deterministic stand-in for Ctrl-C in tests and CI that cuts at
+    /// the same step for any worker count; see
+    /// `DEEPMC_SWEEP_INTERRUPT_AFTER`.
     pub trip_after: Option<u64>,
     cancelled: AtomicBool,
+    /// Fresh steps admitted against `trip_after` so far.
+    admitted: AtomicU64,
 }
 
 impl<'a> SweepSession<'a> {
     /// A session with a journal and an optional cooperative trip point.
     pub fn new(journal: Option<&'a SweepJournal>, trip_after: Option<u64>) -> SweepSession<'a> {
-        SweepSession { journal, trip_after, cancelled: AtomicBool::new(false) }
+        SweepSession { journal, trip_after, ..Default::default() }
+    }
+
+    /// Admit one batch of `target`'s steps, given in canonical order and
+    /// keyed by `step_of`, against the trip budget: the batch is cut just
+    /// after the fresh step that spends the budget. Returns whether that
+    /// happened; the caller then runs the cut batch and cancels the
+    /// session. The thread that fans the batches out admits them one at a
+    /// time, so the cut does not depend on the worker count.
+    pub(crate) fn admit<I>(
+        &self,
+        target: &str,
+        batch: &mut Vec<I>,
+        step_of: impl Fn(&I) -> usize,
+    ) -> bool {
+        let Some(limit) = self.trip_after else { return false };
+        let mut admitted = self.admitted.load(Ordering::Relaxed);
+        let fresh = |item: &I| !self.journal.is_some_and(|j| j.holds(target, step_of(item) as u64));
+        let cut = batch.iter().position(|item| {
+            admitted += fresh(item) as u64;
+            admitted >= limit
+        });
+        self.admitted.store(admitted, Ordering::Relaxed);
+        cut.map(|i| batch.truncate(i + 1)).is_some()
     }
 
     /// Request cancellation: no further crash steps start, in-flight ones
@@ -1162,6 +1192,52 @@ mod tests {
                 outcomes_text(&straight),
                 "resumed pruned sweep of {steps} steps must match the uninterrupted one byte for byte"
             );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interrupt_cuts_at_the_same_step_for_any_worker_count() {
+        let dir = std::env::temp_dir().join(format!("deepmc-sweep-j5-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let apps = SweepApp::ALL;
+        // Cut inside the first app, and inside the second one; then trip
+        // again on the resumed journal, whose replayed steps cost nothing.
+        for (prune, trips) in [(false, [5, 16]), (true, [5, 7])] {
+            for trip in trips {
+                let mut cuts = Vec::new();
+                for jobs in [1, 4] {
+                    let cfg =
+                        SweepConfig { inject_bug: true, oracle: true, prune, jobs, ..small(13) };
+                    let path = dir.join(format!("sweep-{prune}-{trip}-{jobs}.journal"));
+                    let mut legs = Vec::new();
+                    for resume in [false, true] {
+                        let journal = SweepJournal::open(&path, &cfg, &apps, resume).unwrap();
+                        let loaded = journal.loaded_steps();
+                        let run = sweep_session(
+                            &cfg,
+                            &apps,
+                            &SweepSession::new(Some(&journal), Some(trip)),
+                        );
+                        drop(journal);
+                        let journaled = SweepJournal::open(&path, &cfg, &apps, true).unwrap();
+                        assert_eq!(
+                            journaled.loaded_steps(),
+                            loaded + trip,
+                            "prune={prune} trip={trip} jobs={jobs}: exactly {trip} fresh steps ran"
+                        );
+                        assert!(run.interrupted());
+                        legs.push((
+                            outcomes_text(&run.outcomes),
+                            run.resumed_steps,
+                            run.skipped_steps,
+                        ));
+                    }
+                    cuts.push(legs);
+                }
+                assert_eq!(cuts[0], cuts[1], "prune={prune} trip={trip}: jobs 1 and 4 cut alike");
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

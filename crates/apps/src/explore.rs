@@ -156,12 +156,29 @@ fn validated<T: CrashTarget>(
     let _s = obs::span_lazy("explore.validate", || vec![("step", step.to_string())]);
     let record = compute();
     if let Some(journal) = session.journal {
-        let journaled = journal.append(target.name(), step as u64, &record);
-        if session.trip_after.is_some_and(|t| journaled >= t) {
-            session.cancel();
-        }
+        journal.append(target.name(), step as u64, &record);
     }
     Validated::Computed(record)
+}
+
+/// Fan one batch of validation jobs out in canonical order, cut where the
+/// session's trip budget runs out ([`SweepSession::admit`]); the session
+/// is cancelled once the cut batch has run. Results are in item order, one
+/// per admitted item.
+fn validate_batch<T: CrashTarget, I: Send>(
+    target: &T,
+    session: &SweepSession<'_>,
+    jobs: usize,
+    mut batch: Vec<I>,
+    step_of: impl Fn(&I) -> usize,
+    job: impl Fn(I) -> Validated<T::Verdict> + Sync,
+) -> Vec<Validated<T::Verdict>> {
+    let tripped = session.admit(target.name(), &mut batch, step_of);
+    let results = run_indexed(jobs, batch, |_, item| job(item));
+    if tripped {
+        session.cancel();
+    }
+    results
 }
 
 /// Work counts of one exploration.
@@ -222,20 +239,28 @@ fn exhaustive<T: CrashTarget>(
 ) -> Explored {
     let total = target.crash_points();
     let pols = target.policies();
-    let results = run_indexed(jobs, (1..=total).collect(), |_, step| {
-        validated(target, session, step, || {
-            let (pool, run) = target.replay(step);
-            let flushes_dropped = pool.stats().dropped_flushes;
-            let reps = (pols.iter().enumerate())
-                .map(|(pi, policy)| {
-                    let verdict = target.validate(step, pi, &policy.apply(&pool), &run);
-                    Rep { policy: pi, verdict }
-                })
-                .collect();
-            StepRecord { flushes_dropped, reps }
-        })
-    });
-    let mut ex = Explored::default();
+    let results = validate_batch(
+        target,
+        session,
+        jobs,
+        (1..=total).collect(),
+        |&s| s,
+        |step| {
+            validated(target, session, step, || {
+                let (pool, run) = target.replay(step);
+                let flushes_dropped = pool.stats().dropped_flushes;
+                let reps = (pols.iter().enumerate())
+                    .map(|(pi, policy)| {
+                        let verdict = target.validate(step, pi, &policy.apply(&pool), &run);
+                        Rep { policy: pi, verdict }
+                    })
+                    .collect();
+                StepRecord { flushes_dropped, reps }
+            })
+        },
+    );
+    // Steps past the trip cut never ran.
+    let mut ex = Explored { skipped: (total - results.len()) as u64, ..Default::default() };
     for (step, result) in (1..=total).zip(results) {
         let Some(record) = result.record(&mut ex.resumed) else {
             ex.skipped += 1;
@@ -323,17 +348,24 @@ fn pruned<T: CrashTarget>(
         // Phase B: validate each representative from its kept image, with
         // no second replay. The images go with the jobs.
         let owner_steps: Vec<usize> = owners.iter().map(|&(step, ..)| step).collect();
-        let results = run_indexed(jobs, owners, |_, (step, flushes_dropped, run, images)| {
-            validated(target, session, step, || {
-                let reps = (images.iter())
-                    .map(|(pi, img)| Rep {
-                        policy: *pi,
-                        verdict: target.validate(step, *pi, img, &run),
-                    })
-                    .collect();
-                StepRecord { flushes_dropped, reps }
-            })
-        });
+        let results = validate_batch(
+            target,
+            session,
+            jobs,
+            owners,
+            |&(step, ..)| step,
+            |(step, flushes_dropped, run, images)| {
+                validated(target, session, step, || {
+                    let reps = (images.iter())
+                        .map(|(pi, img)| Rep {
+                            policy: *pi,
+                            verdict: target.validate(step, *pi, img, &run),
+                        })
+                        .collect();
+                    StepRecord { flushes_dropped, reps }
+                })
+            },
+        );
         for (step, result) in owner_steps.into_iter().zip(results) {
             if let Some(record) = result.record(&mut ex.resumed) {
                 verdicts

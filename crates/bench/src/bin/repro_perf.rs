@@ -130,8 +130,9 @@ struct ThroughputRow {
     /// Rule application over the collected traces.
     rule_scan_ms: f64,
     rule_events_per_sec: f64,
-    /// Pure binary cache read: `lookup()` over every root key against a
-    /// warm cache directory (no key computation, no analysis fallback).
+    /// Pure binary cache read: one pack read plus a lookup of every root
+    /// key against a warm cache directory (no key computation, no
+    /// analysis fallback).
     warm_read_ms: f64,
     /// Analysis roots the warm read covered (every lookup must hit).
     warm_read_roots: usize,
@@ -511,19 +512,24 @@ fn throughput_row(
     });
 
     // Pure warm-read cost: populate a scratch cache once, precompute every
-    // root key, then time nothing but `lookup` (file read + checksum +
-    // binary decode). Every lookup must hit — a miss would silently time
-    // re-analysis instead.
+    // root key, then time nothing but reading the pack (one file read,
+    // checksum and parse) and looking every key up in it (binary decode).
+    // Every lookup must hit — a miss would silently time re-analysis
+    // instead.
     let dir = std::env::temp_dir().join(format!("deepmc-bench-tput-{}", name.replace('/', "_")));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = AnalysisCache::open(&dir);
     let _ = checker.check_program_cached(program, Some(&cache));
     let collector = TraceCollector::new(program, &dsa, config.trace.clone());
     let roots = collector.analysis_roots(&cg);
-    let kb = deepmc::cache::KeyBuilder::new(config, program, &dsa, &cg);
-    let keys: Vec<String> = roots.iter().map(|&r| kb.root_key(r)).collect();
+    let kb = deepmc::cache::KeyBuilder::new(config, program);
+    let keys: Vec<String> = roots.iter().map(|&r| kb.root_key(&dsa, &cg, r)).collect();
+    let pack_name = kb.pack_name();
     // Median for the same reason as `analysis_ms` above.
-    let (warm_read_ms, hits) = timed(reps, || keys.iter().filter_map(|k| cache.lookup(k)).count());
+    let (warm_read_ms, hits) = timed(reps, || {
+        let pack = cache.read_pack(&pack_name, kb.config_line());
+        keys.iter().filter_map(|k| pack.get(k)).count()
+    });
     assert_eq!(hits, keys.len(), "{name}: every root key must hit the warm cache");
     let _ = std::fs::remove_dir_all(&dir);
 

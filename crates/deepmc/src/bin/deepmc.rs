@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! deepmc check  (-strict|-epoch|-strand) [--json] [--violations-only|--performance-only]
-//!               [--suppress DB.json] [--no-cache] [--cache-dir DIR]
-//!               [--cache-staleness-ms MS] [--jobs N] [--root-timeout SECS]
-//!               [--max-walk-steps N] [--chaos-panic ROOT] [--profile] [--verbose]
-//!               [--progress] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE]
-//!               [--build-id ID] FILE...
+//!               [--suppress DB.json] [--no-cache] [--cache-dir DIR] [--jobs N]
+//!               [--root-timeout SECS] [--max-walk-steps N] [--chaos-panic ROOT]
+//!               [--profile] [--verbose] [--progress] [--trace-out FILE]
+//!               [--metrics-out FILE] [--ledger FILE] [--build-id ID] FILE...
 //! deepmc check  --ds STRUCTURE|all [--steps N] [--jobs N] [--profile] [--progress]
 //!               [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--build-id ID]
 //! deepmc fix    (-strict|-epoch|-strand) FILE... [-o DIR]
@@ -73,7 +72,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "deepmc — detect deep memory persistency bugs in NVM programs\n\n\
          USAGE:\n  \
-         deepmc check  (-strict|-epoch|-strand) [--json] [--violations-only|--performance-only] [--suppress DB.json] [--no-cache] [--cache-dir DIR] [--cache-staleness-ms MS] [--jobs N] [--root-timeout SECS] [--max-walk-steps N] [--chaos-panic ROOT] [--profile] [--verbose] [--progress] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--build-id ID] FILE...\n  \
+         deepmc check  (-strict|-epoch|-strand) [--json] [--violations-only|--performance-only] [--suppress DB.json] [--no-cache] [--cache-dir DIR] [--jobs N] [--root-timeout SECS] [--max-walk-steps N] [--chaos-panic ROOT] [--profile] [--verbose] [--progress] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--build-id ID] FILE...\n  \
          deepmc check  --ds STRUCTURE|all [--steps N] [--jobs N] [--profile] [--progress] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--build-id ID]   # DS-corpus detection matrix\n  \
          deepmc fix    (-strict|-epoch|-strand) FILE... [-o DIR]\n  \
          deepmc dynamic ENTRY FILE...\n  \
@@ -468,7 +467,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let mut suppress_db: Option<String> = None;
     let mut no_cache = false;
     let mut cache_dir = deepmc::cache::DEFAULT_CACHE_DIR.to_string();
-    let mut cache_staleness_ms: Option<u64> = None;
     let mut jobs = 0usize;
     let mut root_timeout_secs: Option<u64> = None;
     let mut max_walk_steps: Option<u64> = None;
@@ -491,10 +489,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
             "--cache-dir" => match it.next() {
                 Some(dir) => cache_dir = dir.clone(),
                 None => return usage(),
-            },
-            "--cache-staleness-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => cache_staleness_ms = Some(n),
-                _ => return usage(),
             },
             // 0 is a valid request: "use all cores" (resolve_jobs).
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
@@ -569,13 +563,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     };
     drop(parse_span);
-    let cache = (!no_cache).then(|| {
-        let c = deepmc::AnalysisCache::open(&cache_dir);
-        match cache_staleness_ms {
-            Some(ms) => c.with_staleness(std::time::Duration::from_millis(ms)),
-            None => c,
-        }
-    });
+    let cache = (!no_cache).then(|| deepmc::AnalysisCache::open(&cache_dir));
     let (mut report, stats) =
         StaticChecker::new(config).check_program_with_jobs(&program, cache.as_ref(), jobs);
     if !no_cache && (obs_opts.verbose || obs_opts.profile) {
@@ -852,10 +840,10 @@ fn cmd_crashsweep(args: &[String]) -> ExitCode {
         if cfg.prune { ", pruned exploration" } else { "" },
         if cfg.oracle { ", output-equivalence oracles" } else { "" }
     );
-    // A cooperative interrupt point for CI and tests: after N freshly
-    // journaled steps the session cancels itself, exactly as a Ctrl-C
-    // handler would — workers drain, the journal stays flushed, and the
-    // run exits 3 with partial results.
+    // A cooperative interrupt point for CI and tests: the first N fresh
+    // steps in canonical step order run, whatever the worker count, and
+    // then the session cancels itself, exactly as a Ctrl-C handler would —
+    // the journal stays flushed, and the run exits 3 with partial results.
     let trip_after =
         std::env::var("DEEPMC_SWEEP_INTERRUPT_AFTER").ok().and_then(|v| v.parse::<u64>().ok());
     let journal = if journal_path.is_some() || resume || trip_after.is_some() {

@@ -14,14 +14,28 @@
 //! * the DSG's persistence classification of the root's pointer
 //!   parameters — the only DSA facts the collector consumes.
 //!
-//! [`root_key`] folds exactly those inputs into a content hash, so a
-//! second `deepmc check` run re-verifies only roots whose relevant inputs
-//! changed. Entries are one binary file per root under the cache directory
-//! (default `.deepmc-cache/`), named by the FNV-1a hash of the key; the
-//! full key text is stored inside each entry and compared on load, so a
-//! hash collision degrades to a miss instead of wrong output.
+//! The configuration is folded once per pack; [`KeyBuilder::root_key`]
+//! folds the rest into one key text per root, so a second `deepmc check`
+//! run re-verifies only roots whose relevant inputs changed.
 //!
-//! # Entry file format
+//! # One pack per program
+//!
+//! A cache directory (default `.deepmc-cache/`) holds one pack file per
+//! configuration and program, named by the FNV-1a hash of the schema
+//! version, the configuration line and the sorted module file names
+//! ([`pack_name`]). The checker reads its pack with one `fs::read` before
+//! the fan-out, and workers look roots up in the read-only [`Pack`]
+//! without touching the file system. After the merge the checker writes
+//! the pack once — this run's hits and stored misses, in root order —
+//! through a per-process temporary file and an atomic rename, and only
+//! when its bytes would change ([`Pack::write`]). A pack that holds every
+//! root also records a digest of the whole program
+//! ([`KeyBuilder::program_digest`]); a check of that same program replays
+//! its records without building the DSA ([`Pack::serves_whole`]). Two
+//! processes sharing a directory do not exclude each other: each still
+//! gets a correct report, and the last rename wins.
+//!
+//! # Pack format
 //!
 //! A 16-byte header followed by a little-endian packed payload:
 //!
@@ -30,64 +44,60 @@
 //! version  u16 LE (SCHEMA_VERSION)         2 bytes
 //! endian   0x01 (little-endian payload)    1 byte
 //! reserved 0x00                            1 byte
-//! checksum u64 LE FNV-1a of the payload    8 bytes
-//! payload  string table + packed records   rest
+//! checksum u64 LE FNV-1a of the payload    8 bytes ([`checksum`])
+//! payload  config line + digest + records  rest
 //! ```
 //!
-//! The payload holds a deduplicated string table (u32 count, then
-//! length-prefixed UTF-8) followed by the entry scalars and one fixed
-//! 32-byte record per warning whose string fields are u32 table indices
-//! and whose enums are stable u8 codes (positions in `BugClass::ALL` /
-//! `PersistencyModel::ALL` and the `FixHint` declaration order). The
-//! reader parses the byte slice in place — strings are materialized once,
-//! straight out of the read buffer, with no intermediate tree.
+//! The payload holds the configuration line once (compared on load, so a
+//! name collision degrades to a miss), the u64 program digest (0 when
+//! some root has no record), then one record per root: the
+//! root's key text and a body, each u32-length-prefixed. The full key is
+//! compared on lookup. A body holds the root's three scalar deltas, a
+//! deduplicated string table (u32 count, then length-prefixed UTF-8) and
+//! one fixed 32-byte record per warning whose string fields are u32 table
+//! indices and whose enums are stable u8 codes (positions in
+//! `BugClass::ALL` / `PersistencyModel::ALL` and the `FixHint`
+//! declaration order). A record is self-contained, so a hit is copied
+//! into the next pack byte for byte.
 //!
-//! A file whose schema version or endian marker differs is *someone
-//! else's* entry, not a broken one: it reads as a clean cold miss (the
-//! `cache.version_miss` counter tracks these) and is simply overwritten
-//! by this run's store. Only files that claim our schema and then fail
-//! checksum, parse, or key verification are quarantined. Pre-binary
-//! (JSON-era) `{hash}.json` entries found where a `.bin` is missing are
-//! quarantined once so old cache directories self-heal.
+//! A pack whose schema version or endian marker differs is *someone
+//! else's*, not a broken one: it reads as a clean cold miss (the
+//! `cache.version_miss` counter tracks these) and is replaced by this
+//! run's write. A pack that claims our schema and then fails its
+//! checksum, a parse, or the configuration comparison is moved to
+//! `quarantine/`. On a cold start (no pack yet), pre-binary (JSON-era)
+//! `*.json` entries in the directory are quarantined once, so old cache
+//! directories self-heal.
 //!
 //! The cache stores *raw* (pre-deduplication) warnings and the root's
 //! pruning/truncation deltas, so a warm run rebuilds the byte-identical
 //! report, notes included.
-//!
-//! Entries are safe to read and write concurrently: stores go through a
-//! tmp-file + atomic rename, and a cold root can be *claimed* (an
-//! `O_EXCL` side file) so concurrent workers — in this process or
-//! another — never double-compute it; see [`AnalysisCache::claim`].
 
 use crate::config::DeepMcConfig;
 use crate::report::{FixHint, Warning};
-use deepmc_analysis::{CallGraph, DsaResult, FuncRef, PersistKind, Program};
+use deepmc_analysis::fxhash::FxHasher;
+use deepmc_analysis::{CallGraph, DsaResult, FuncRef, FxHashMap, FxHashSet, PersistKind, Program};
 use deepmc_models::{BugClass, PersistencyModel};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
+use std::hash::{Hash as _, Hasher as _};
+use std::io::{self, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, SystemTime};
 
 /// Default cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".deepmc-cache";
 
-/// Subdirectory (under the cache dir) holding quarantined entries.
+/// Subdirectory (under the cache dir) holding quarantined files.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-/// Default staleness cutoff for claim files: a claim whose mtime has not
-/// advanced for this long has a dead holder ([`ClaimGuard`] heartbeats
-/// well inside it).
-pub const DEFAULT_CLAIM_STALENESS: Duration = Duration::from_secs(2);
+/// Pack-file magic: "DeepMC Binary".
+pub const PACK_MAGIC: [u8; 4] = *b"DMCB";
 
-/// Entry-file magic: "DeepMC Binary".
-pub const ENTRY_MAGIC: [u8; 4] = *b"DMCB";
-
-/// Entry-file schema version; bump on any layout or code-table change so
+/// Pack schema version; bump on any layout, key or code-table change so
 /// old readers miss cleanly instead of misparsing.
-pub const SCHEMA_VERSION: u16 = 3;
+pub const SCHEMA_VERSION: u16 = 4;
 
 /// Endianness marker: all multi-byte fields are little-endian. A big-endian
 /// writer would stamp a different marker, which reads as a clean miss.
@@ -95,14 +105,9 @@ pub const ENDIAN_MARK: u8 = 0x01;
 
 const HEADER_LEN: usize = 16;
 
-/// One cached per-root analysis result.
+/// One root's cached analysis result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
-    /// The full (pre-hash) key text; verified on load so hash collisions
-    /// degrade to misses.
-    pub key: String,
-    /// Root function name (diagnostics only).
-    pub root: String,
     /// Raw, pre-deduplication warnings this root produced.
     pub warnings: Vec<Warning>,
     /// Branch forks pruned while collecting this root's traces.
@@ -120,9 +125,9 @@ pub struct CacheRunStats {
     pub hits: u64,
     /// Roots analyzed because no valid entry existed.
     pub misses: u64,
-    /// Fresh entries written this run.
+    /// Fresh records written this run.
     pub stores: u64,
-    /// Corrupt or key-mismatched entries moved to quarantine this run.
+    /// Corrupt packs and JSON-era entries moved to quarantine this run.
     pub quarantined: u64,
     /// Traces collected or (for hits) skipped-and-accounted.
     pub traces: u64,
@@ -144,67 +149,18 @@ impl CacheRunStats {
 #[derive(Debug, Clone)]
 pub struct AnalysisCache {
     dir: PathBuf,
-    /// A claim whose mtime is older than this is a dead holder; live
-    /// holders heartbeat at a quarter of it.
-    staleness: Duration,
-    /// Entries quarantined through this handle (clones share the counter).
-    quarantined: Arc<AtomicU64>,
-    /// Clean misses caused by a schema-version or endianness mismatch.
-    version_miss: Arc<AtomicU64>,
 }
 
 impl AnalysisCache {
     /// Open (without yet creating) a cache rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> AnalysisCache {
-        AnalysisCache {
-            dir: dir.into(),
-            staleness: DEFAULT_CLAIM_STALENESS,
-            quarantined: Arc::new(AtomicU64::new(0)),
-            version_miss: Arc::new(AtomicU64::new(0)),
-        }
+        AnalysisCache { dir: dir.into() }
     }
 
-    /// Builder-style: override the claim staleness cutoff (and, with it,
-    /// the heartbeat interval). Mostly for tests and CI chaos harnesses.
-    pub fn with_staleness(mut self, staleness: Duration) -> AnalysisCache {
-        self.staleness = staleness.max(Duration::from_millis(1));
-        self
-    }
-
-    /// The cache directory path.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
-    /// Entries quarantined through this handle (and its clones) so far.
-    pub fn quarantined_count(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Clean misses served because an entry had a different schema version
-    /// or endianness (counted by this handle and its clones).
-    pub fn version_miss_count(&self) -> u64 {
-        self.version_miss.load(Ordering::Relaxed)
-    }
-
-    fn path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.bin", fnv1a(key.as_bytes())))
-    }
-
-    /// Where the pre-binary (JSON) format stored this key's entry.
-    fn legacy_path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", fnv1a(key.as_bytes())))
-    }
-
-    fn claim_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.claim", fnv1a(key.as_bytes())))
-    }
-
-    /// Move a bad entry file to `<dir>/quarantine/` (falling back to
-    /// deletion) so it is inspected once, not re-missed on every run.
-    /// Counted only when this handle actually removed the file — two
-    /// workers racing on the same corrupt entry quarantine it once.
-    fn quarantine(&self, path: &Path, reason: &str) {
+    /// Move a bad file to `<dir>/quarantine/` (falling back to deletion)
+    /// so it is inspected once, not re-missed on every run. Counted only
+    /// when this call actually removed the file.
+    fn quarantine(&self, pack: &mut Pack, path: &Path, reason: &str) {
         let qdir = self.dir.join(QUARANTINE_DIR);
         let moved = fs::create_dir_all(&qdir).is_ok()
             && path
@@ -212,132 +168,244 @@ impl AnalysisCache {
                 .map(|name| fs::rename(path, qdir.join(name)).is_ok())
                 .unwrap_or(false);
         if moved || fs::remove_file(path).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            pack.quarantined += 1;
             deepmc_obs::counter("cache.quarantined", 1);
             deepmc_obs::warning(
                 "cache.quarantined",
-                &format!("quarantined cache entry {}: {reason}", path.display()),
+                &format!("quarantined cache file {}: {reason}", path.display()),
             );
         }
     }
 
-    /// Look up a key. A missing file is a plain miss; an entry from a
-    /// different schema version or endianness is a *clean* miss (counted,
-    /// not quarantined — this run's store will overwrite it); a file that
-    /// claims our schema but fails checksum, parse, or key verification is
-    /// quarantined (self-healing: the next run misses cleanly instead of
-    /// re-tripping forever). A JSON-era entry squatting on a cold key is
-    /// quarantined once.
-    pub fn lookup(&self, key: &str) -> Option<CacheEntry> {
-        let path = self.path_for(key);
-        let bytes = match fs::read(&path) {
+    /// Read the pack `name` ([`pack_name`]) with one `fs::read`. A missing
+    /// pack is a cold start: JSON-era `*.json` entries in the directory are
+    /// quarantined. A pack of another schema version or endianness is a
+    /// clean miss (counted as `cache.version_miss`, not quarantined — this
+    /// run's write replaces it). A pack that claims our schema but fails
+    /// its checksum, a parse, or the comparison with `config_line` is
+    /// quarantined. Each of these yields an empty pack.
+    pub fn read_pack(&self, name: &str, config_line: &str) -> Pack {
+        let mut pack = Pack {
+            path: self.dir.join(name),
+            config_line: config_line.to_string(),
+            bytes: Vec::new(),
+            records: Vec::new(),
+            index: FxHashMap::default(),
+            program: 0,
+            on_disk: false,
+            quarantined: 0,
+        };
+        let bytes = match fs::read(&pack.path) {
             Ok(bytes) => bytes,
-            Err(_) => {
-                let legacy = self.legacy_path_for(key);
-                if legacy.exists() {
-                    self.quarantine(&legacy, "pre-binary (JSON-era) cache entry");
+            Err(e) => {
+                if e.kind() == io::ErrorKind::NotFound {
+                    self.quarantine_json_era(&mut pack);
                 }
-                return None;
+                return pack;
             }
         };
-        match decode_entry(&bytes) {
-            Ok(entry) if entry.key == key => Some(entry),
-            Ok(_) => {
-                self.quarantine(&path, "key mismatch (hash collision or stale format)");
-                None
+        match parse_pack(&bytes, config_line) {
+            Ok((program, records)) => {
+                for (i, (key, _)) in records.iter().enumerate() {
+                    pack.index.entry(key_hash(&bytes[key.clone()])).or_insert(i);
+                }
+                pack.records = records;
+                pack.program = program;
+                pack.bytes = bytes;
+                pack.on_disk = true;
             }
             Err(DecodeFail::VersionMiss(reason)) => {
-                self.version_miss.fetch_add(1, Ordering::Relaxed);
                 deepmc_obs::counter("cache.version_miss", 1);
                 deepmc_obs::warning(
                     "cache.version_miss",
-                    &format!("cold miss on {}: {reason}", path.display()),
+                    &format!("cold miss on {}: {reason}", pack.path.display()),
                 );
-                None
             }
             Err(DecodeFail::Corrupt(reason)) => {
-                self.quarantine(&path, reason);
-                None
+                let path = pack.path.clone();
+                self.quarantine(&mut pack, &path, reason);
             }
         }
+        pack
     }
 
-    /// Store an entry; failures are silent (a cache must never break the
-    /// check itself — the next run simply misses).
-    pub fn store(&self, entry: &CacheEntry) {
-        if fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
-        let path = self.path_for(&entry.key);
-        let tmp = path.with_extension("tmp");
-        if fs::write(&tmp, encode_entry(entry)).is_ok() {
-            let _ = fs::rename(&tmp, &path);
-        }
-    }
-
-    /// Try to claim a cold key for computation. `Some` means this caller
-    /// won and must compute + [`AnalysisCache::store`] the entry (the
-    /// returned guard releases the claim on drop, success or panic);
-    /// `None` means another worker holds the claim — poll with
-    /// [`AnalysisCache::wait_for`] instead of recomputing.
-    ///
-    /// The claim is an `O_EXCL`-created side file, so it also excludes
-    /// workers in *other* processes sharing the cache directory. While the
-    /// guard lives, a background thread bumps the claim file's mtime every
-    /// `staleness / 4`, so [`AnalysisCache::wait_for`] can tell a slow
-    /// holder (mtime advancing) from a dead one (mtime frozen).
-    pub fn claim(&self, key: &str) -> Option<ClaimGuard> {
-        if fs::create_dir_all(&self.dir).is_err() {
-            // Unusable cache directory: claims can't exclude anyone, so
-            // pretend we won and let `store` fail silently later.
-            return Some(ClaimGuard { path: None, heartbeat: None });
-        }
-        let path = self.claim_path(key);
-        match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(_) => {
-                let heartbeat = Heartbeat::spawn(path.clone(), self.staleness / 4);
-                Some(ClaimGuard { path: Some(path), heartbeat })
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Wait for the holder of `key`'s claim to publish its entry. Returns
-    /// `None` if the claim disappears without an entry or goes stale (its
-    /// mtime stops advancing, i.e. the holder died without dropping its
-    /// [`ClaimGuard`]); the stale claim is broken so the caller can
-    /// compute the root itself. A live holder may be waited on
-    /// indefinitely — its heartbeat is the liveness proof.
-    pub fn wait_for(&self, key: &str) -> Option<CacheEntry> {
-        let claim = self.claim_path(key);
-        loop {
-            if let Some(entry) = self.lookup(key) {
-                return Some(entry);
-            }
-            let Ok(meta) = fs::metadata(&claim) else {
-                // Claim released: one final look, then treat as ours.
-                return self.lookup(key);
-            };
-            // A future or unreadable mtime reads as "fresh just now":
-            // coarse clocks must not make us break a live holder's claim.
-            // An mtime the platform can't report at all reads as stale —
-            // worst case is a benign double-compute (stores are atomic
-            // and idempotent).
-            let fresh = meta.modified().is_ok_and(|m| {
-                SystemTime::now().duration_since(m).unwrap_or(Duration::ZERO) < self.staleness
-            });
-            if !fresh {
-                let _ = fs::remove_file(&claim);
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+    /// Quarantine every pre-binary (JSON-era) `*.json` entry in the cache
+    /// directory; none can serve a lookup.
+    fn quarantine_json_era(&self, pack: &mut Pack) {
+        let Ok(dir) = fs::read_dir(&self.dir) else { return };
+        let mut legacy: Vec<PathBuf> = dir
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "json") && p.is_file())
+            .collect();
+        legacy.sort();
+        for path in legacy {
+            self.quarantine(pack, &path, "pre-binary (JSON-era) cache entry");
         }
     }
 }
 
-// --- binary entry encoding ----------------------------------------------
+/// One record of the next pack, in root order.
+#[derive(Debug, Clone)]
+pub enum PackRecord {
+    /// Record `i` of the loaded pack, copied byte for byte.
+    Kept(usize),
+    /// A freshly analyzed root: its key text, and its raw warnings as a
+    /// range of the warnings handed to [`Pack::write`].
+    Fresh {
+        key: String,
+        warnings: Range<usize>,
+        paths_pruned: u64,
+        events_truncated: u64,
+        traces: u64,
+    },
+}
 
-/// Why a decode did not produce an entry.
+/// The pack of one configuration and program: the bytes of one read and
+/// an index from key text to record. Read-only once loaded, so every
+/// worker of a check looks roots up in it at once.
+#[derive(Debug)]
+pub struct Pack {
+    path: PathBuf,
+    config_line: String,
+    bytes: Vec<u8>,
+    /// Per record: the byte ranges of its key text and of the whole record.
+    records: Vec<(Range<usize>, Range<usize>)>,
+    /// [`key_hash`] of a key text → its first record.
+    index: FxHashMap<u64, usize>,
+    /// The [`KeyBuilder::program_digest`] the records cover every root of,
+    /// or 0.
+    program: u64,
+    /// The bytes are a valid pack read from `path`.
+    on_disk: bool,
+    /// Files reading this pack moved to quarantine.
+    quarantined: u64,
+}
+
+impl Pack {
+    /// The pack file's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// No record was loaded (cold start, foreign or quarantined pack).
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Corrupt packs and JSON-era entries that reading this pack moved to
+    /// quarantine.
+    pub fn quarantined(&self) -> u64 {
+        self.quarantined
+    }
+
+    /// The records hold every root of the program with this digest, in
+    /// root order, so they serve a whole check without an analysis.
+    pub fn serves_whole(&self, program_digest: u64) -> bool {
+        self.program != 0 && self.program == program_digest
+    }
+
+    /// Every record's entry, in pack order.
+    pub fn entries(&self) -> impl Iterator<Item = CacheEntry> + '_ {
+        (0..self.records.len()).map(|i| self.entry(i))
+    }
+
+    /// Look a root's key text up: its record index and entry.
+    pub fn get(&self, key: &str) -> Option<(usize, CacheEntry)> {
+        let &i = self.index.get(&key_hash(key.as_bytes()))?;
+        (self.bytes[self.records[i].0.clone()] == *key.as_bytes()).then(|| (i, self.entry(i)))
+    }
+
+    fn entry(&self, i: usize) -> CacheEntry {
+        // The body follows the key's end and its own u32 length; every
+        // body was parsed once on load, so decoding cannot fail here.
+        let (key, record) = &self.records[i];
+        decode_body(&self.bytes[key.end + 4..record.end]).expect("bodies are checked on load")
+    }
+
+    /// Write `records` as this pack's next contents through a per-process
+    /// temporary file and an atomic rename; `program` is the digest of the
+    /// program whose every root they hold, or 0. Nothing is written when
+    /// the bytes would not change (same digest, every record kept in
+    /// place); returns whether the file was written.
+    pub fn write(
+        &self,
+        records: &[PackRecord],
+        warnings: &[Warning],
+        program: u64,
+    ) -> io::Result<bool> {
+        let unchanged = self.on_disk
+            && self.program == program
+            && records.len() == self.records.len()
+            && records.iter().enumerate().all(|(i, r)| matches!(r, PackRecord::Kept(k) if *k == i));
+        if unchanged {
+            return Ok(false);
+        }
+        let mut payload = Vec::new();
+        put_bytes(&mut payload, self.config_line.as_bytes());
+        put_u64(&mut payload, program);
+        for record in records {
+            match record {
+                PackRecord::Kept(i) => {
+                    payload.extend_from_slice(&self.bytes[self.records[*i].1.clone()])
+                }
+                PackRecord::Fresh {
+                    key,
+                    warnings: range,
+                    paths_pruned,
+                    events_truncated,
+                    traces,
+                } => {
+                    put_bytes(&mut payload, key.as_bytes());
+                    // The body's length prefix, filled in once it is known.
+                    let at = payload.len();
+                    put_u32(&mut payload, 0);
+                    let body = &warnings[range.clone()];
+                    encode_body(&mut payload, body, *paths_pruned, *events_truncated, *traces);
+                    let len = (payload.len() - at - 4) as u32;
+                    payload[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+            }
+        }
+        if let Some(dir) = self.path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let tmp = self.path.with_extension(format!("{}.tmp", std::process::id()));
+        let written = fs::File::create(&tmp)
+            .and_then(|mut f| f.write_all(&header(checksum(&payload))).and(f.write_all(&payload)))
+            .and_then(|()| fs::rename(&tmp, &self.path));
+        if written.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        written.map(|()| true)
+    }
+}
+
+/// The pack file name for one configuration line and program:
+/// `{FNV-1a of schema version, configuration line and sorted module file
+/// names:016x}.bin`.
+pub fn pack_name<'f>(config_line: &str, files: impl IntoIterator<Item = &'f str>) -> String {
+    let mut files: Vec<&str> = files.into_iter().collect();
+    files.sort_unstable();
+    let mut h = Fnv::new();
+    let _ = writeln!(h, "deepmc-pack-v{SCHEMA_VERSION}\nconfig {config_line}");
+    for file in files {
+        let _ = writeln!(h, "file {file}");
+    }
+    format!("{:016x}.bin", h.0)
+}
+
+fn header(checksum: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..4].copy_from_slice(&PACK_MAGIC);
+    h[4..6].copy_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    h[6] = ENDIAN_MARK;
+    h[8..16].copy_from_slice(&checksum.to_le_bytes());
+    h
+}
+
+// --- binary encoding -----------------------------------------------------
+
+/// Why a pack did not load.
 enum DecodeFail {
     /// Another schema wrote this file; it is not ours to validate.
     VersionMiss(&'static str),
@@ -353,7 +421,13 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Deduplicating string-table builder for the payload.
+/// A u32 length prefix, then the bytes.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+/// Deduplicating string-table builder for a record body.
 #[derive(Default)]
 struct StringTable<'a> {
     strings: Vec<&'a str>,
@@ -403,43 +477,42 @@ fn fix_from_code(tag: u8, a: u32, b: u32) -> Result<Option<FixHint>, &'static st
     })
 }
 
-/// Serialize an entry: header (magic, version, endian marker, payload
-/// checksum) followed by the packed little-endian payload.
-fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
+/// Append one record body: the scalar deltas, the string table, then the
+/// packed warnings.
+fn encode_body(
+    out: &mut Vec<u8>,
+    warnings: &[Warning],
+    paths_pruned: u64,
+    events_truncated: u64,
+    traces: u64,
+) {
     let mut tab = StringTable::default();
-    let key = tab.intern(&entry.key);
-    let root = tab.intern(&entry.root);
-    let warn_refs: Vec<(u32, u32, u32, u32)> = entry
-        .warnings
+    let refs: Vec<[u32; 4]> = warnings
         .iter()
         .map(|w| {
-            (
+            [
                 tab.intern(&w.file),
                 tab.intern(&w.function),
                 tab.intern(&w.root),
                 tab.intern(&w.message),
-            )
+            ]
         })
         .collect();
-
-    let mut payload = Vec::new();
-    put_u32(&mut payload, tab.strings.len() as u32);
+    put_u64(out, paths_pruned);
+    put_u64(out, events_truncated);
+    put_u64(out, traces);
+    put_u32(out, tab.strings.len() as u32);
     for s in &tab.strings {
-        put_u32(&mut payload, s.len() as u32);
-        payload.extend_from_slice(s.as_bytes());
+        put_u32(out, s.len() as u32);
+        out.extend_from_slice(s.as_bytes());
     }
-    put_u32(&mut payload, key);
-    put_u32(&mut payload, root);
-    put_u64(&mut payload, entry.paths_pruned);
-    put_u64(&mut payload, entry.events_truncated);
-    put_u64(&mut payload, entry.traces);
-    put_u32(&mut payload, entry.warnings.len() as u32);
-    for (w, &(file, function, wroot, message)) in entry.warnings.iter().zip(&warn_refs) {
-        put_u32(&mut payload, file);
-        put_u32(&mut payload, w.line);
-        put_u32(&mut payload, function);
-        put_u32(&mut payload, wroot);
-        put_u32(&mut payload, message);
+    put_u32(out, warnings.len() as u32);
+    for (w, &[file, function, root, message]) in warnings.iter().zip(&refs) {
+        put_u32(out, file);
+        put_u32(out, w.line);
+        put_u32(out, function);
+        put_u32(out, root);
+        put_u32(out, message);
         let class = BugClass::ALL
             .iter()
             .position(|c| *c == w.class)
@@ -449,26 +522,13 @@ fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
             .position(|m| *m == w.model)
             .expect("PersistencyModel::ALL covers every model") as u8;
         let (tag, a, b) = fix_code(w.fix.as_ref());
-        payload.push(class);
-        payload.push(model);
-        payload.push(w.dynamic as u8);
-        payload.push(tag);
-        put_u32(&mut payload, a);
-        put_u32(&mut payload, b);
+        out.extend_from_slice(&[class, model, w.dynamic as u8, tag]);
+        put_u32(out, a);
+        put_u32(out, b);
     }
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&ENTRY_MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    out.push(ENDIAN_MARK);
-    out.push(0); // reserved
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
 }
 
-/// Bounds-checked cursor over the payload byte slice; all reads are
-/// in-place (no copies until final `String` materialization).
+/// Bounds-checked cursor over a byte slice; all reads are in place.
 struct Reader<'a> {
     buf: &'a [u8],
 }
@@ -494,67 +554,87 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, &'static str> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// A u32 length prefix, then that many bytes.
+    fn bytes(&mut self) -> Result<&'a [u8], &'static str> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
 }
 
-fn decode_entry(bytes: &[u8]) -> Result<CacheEntry, DecodeFail> {
+/// Check a pack's header, checksum and configuration line, and return its
+/// program digest and each record's key range and whole-record range.
+/// Every body is decoded once here, so a lookup never meets a malformed
+/// one.
+#[allow(clippy::type_complexity)]
+fn parse_pack(
+    bytes: &[u8],
+    config_line: &str,
+) -> Result<(u64, Vec<(Range<usize>, Range<usize>)>), DecodeFail> {
     use DecodeFail::{Corrupt, VersionMiss};
     if bytes.len() < HEADER_LEN {
         return Err(Corrupt("truncated header"));
     }
-    if bytes[0..4] != ENTRY_MAGIC {
+    if bytes[0..4] != PACK_MAGIC {
         return Err(Corrupt("bad magic"));
     }
     // Version and endianness are checked before the checksum: a
     // foreign-schema file is not ours to validate, let alone quarantine.
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != SCHEMA_VERSION {
+    if u16::from_le_bytes([bytes[4], bytes[5]]) != SCHEMA_VERSION {
         return Err(VersionMiss("schema version mismatch"));
     }
     if bytes[6] != ENDIAN_MARK {
         return Err(VersionMiss("foreign endianness"));
     }
     let sum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let payload = &bytes[HEADER_LEN..];
-    if sum != fnv1a(payload) {
+    if sum != checksum(&bytes[HEADER_LEN..]) {
         return Err(Corrupt("checksum mismatch"));
     }
-    parse_payload(payload).map_err(Corrupt)
+    let mut r = Reader { buf: &bytes[HEADER_LEN..] };
+    if r.bytes().map_err(Corrupt)? != config_line.as_bytes() {
+        return Err(Corrupt("configuration mismatch (pack name collision)"));
+    }
+    let program = r.u64().map_err(Corrupt)?;
+    let mut records = Vec::new();
+    while !r.buf.is_empty() {
+        let start = bytes.len() - r.buf.len();
+        let key = r.bytes().map_err(Corrupt)?;
+        decode_body(r.bytes().map_err(Corrupt)?).map_err(Corrupt)?;
+        let key_start = start + 4;
+        records.push((key_start..key_start + key.len(), start..bytes.len() - r.buf.len()));
+    }
+    Ok((program, records))
 }
 
-fn parse_payload(payload: &[u8]) -> Result<CacheEntry, &'static str> {
-    let mut r = Reader { buf: payload };
+fn decode_body(body: &[u8]) -> Result<CacheEntry, &'static str> {
+    let mut r = Reader { buf: body };
+    let paths_pruned = r.u64()?;
+    let events_truncated = r.u64()?;
+    let traces = r.u64()?;
     let n_strings = r.u32()? as usize;
     // Each string costs at least its 4-byte length prefix; a count the
-    // payload can't possibly hold is rejected before any preallocation.
-    if n_strings > payload.len() / 4 {
-        return Err("string table overruns payload");
+    // body can't possibly hold is rejected before any preallocation.
+    if n_strings > body.len() / 4 {
+        return Err("string table overruns record");
     }
     let mut strings: Vec<&str> = Vec::with_capacity(n_strings);
     for _ in 0..n_strings {
-        let len = r.u32()? as usize;
-        let raw = r.take(len)?;
-        strings.push(std::str::from_utf8(raw).map_err(|_| "non-UTF-8 string")?);
+        strings.push(std::str::from_utf8(r.bytes()?).map_err(|_| "non-UTF-8 string")?);
     }
     let resolve = |i: u32| -> Result<&str, &'static str> {
         strings.get(i as usize).copied().ok_or("string index out of range")
     };
-
-    let key = resolve(r.u32()?)?;
-    let root = resolve(r.u32()?)?;
-    let paths_pruned = r.u64()?;
-    let events_truncated = r.u64()?;
-    let traces = r.u64()?;
     let n_warnings = r.u32()? as usize;
     // 32 bytes per packed warning record.
-    if n_warnings > payload.len() / 32 {
-        return Err("warning table overruns payload");
+    if n_warnings > body.len() / 32 {
+        return Err("warning table overruns record");
     }
     let mut warnings = Vec::with_capacity(n_warnings);
     for _ in 0..n_warnings {
         let file = resolve(r.u32()?)?;
         let line = r.u32()?;
         let function = resolve(r.u32()?)?;
-        let wroot = resolve(r.u32()?)?;
+        let root = resolve(r.u32()?)?;
         let message = resolve(r.u32()?)?;
         let class = *BugClass::ALL.get(r.u8()? as usize).ok_or("unknown bug-class code")?;
         let model =
@@ -572,7 +652,7 @@ fn parse_payload(payload: &[u8]) -> Result<CacheEntry, &'static str> {
             line,
             class,
             function: function.to_string(),
-            root: wroot.to_string(),
+            root: root.to_string(),
             message: message.to_string(),
             model,
             dynamic,
@@ -580,100 +660,98 @@ fn parse_payload(payload: &[u8]) -> Result<CacheEntry, &'static str> {
         });
     }
     if !r.buf.is_empty() {
-        return Err("trailing bytes after entry");
+        return Err("trailing bytes after record");
     }
-    Ok(CacheEntry {
-        key: key.to_string(),
-        root: root.to_string(),
-        warnings,
-        paths_pruned,
-        events_truncated,
-        traces,
-    })
+    Ok(CacheEntry { warnings, paths_pruned, events_truncated, traces })
 }
 
-/// Background mtime-bumper for a held claim file.
-#[derive(Debug)]
-struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// The in-memory index hash of a key text. It never leaves the process,
+/// so it takes the word-at-a-time analysis hasher.
+fn key_hash(key: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(key);
+    h.finish()
 }
 
-impl Heartbeat {
-    fn spawn(path: PathBuf, interval: Duration) -> Option<Heartbeat> {
-        let interval = interval.max(Duration::from_millis(10));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("deepmc-claim-heartbeat".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
-                        let _ = f.set_modified(SystemTime::now());
-                    }
-                    std::thread::park_timeout(interval);
-                }
-            })
-            .ok()?;
-        Some(Heartbeat { stop, handle: Some(handle) })
+/// A pack's payload checksum: FNV-1a over the payload's 8-byte
+/// little-endian words, the last one zero-padded, then the payload
+/// length. One word per step instead of one byte reads a pack several
+/// times faster, and a payload that differs from another in one word
+/// still always sums differently ([`Fnv::word`]).
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    let mut words = payload.chunks_exact(8);
+    for word in &mut words {
+        h.word(u64::from_le_bytes(word.try_into().unwrap()));
     }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-}
-
-/// RAII release of a [`AnalysisCache::claim`]; removing the claim file
-/// wakes waiters whether or not an entry was stored. The heartbeat stops
-/// first so a final mtime bump can't resurrect the removed file.
-#[derive(Debug)]
-pub struct ClaimGuard {
-    path: Option<PathBuf>,
-    heartbeat: Option<Heartbeat>,
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        drop(self.heartbeat.take());
-        if let Some(path) = &self.path {
-            let _ = fs::remove_file(path);
-        }
-    }
-}
-
-/// FNV-1a 64-bit (no external hasher dependencies; stability across runs
-/// and platforms matters more than collision resistance, and collisions
-/// are verified away by storing the key text).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FnvWriter::new();
-    h.update(bytes);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h.word(u64::from_le_bytes(tail));
+    h.word(payload.len() as u64);
     h.0
 }
 
-/// Incremental FNV-1a sink; implements [`std::fmt::Write`] so `Debug`
-/// output can be digested without materializing the string.
-struct FnvWriter(u64);
+/// Incremental FNV-1a sink. As a [`std::hash::Hasher`] it digests a
+/// value's derived `Hash` stream — every field, without rendering it as
+/// text — and as a [`std::fmt::Write`] it digests formatted lines.
+struct Fnv(u64);
 
-impl FnvWriter {
-    fn new() -> FnvWriter {
-        FnvWriter(0xcbf2_9ce4_8422_2325)
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
 
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    /// Fold one integer field as a single word. The step is a bijection of
+    /// the state for a fixed word and injective in the word for a fixed
+    /// state, so a stream that differs from another in one field always
+    /// digests differently.
+    fn word(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
     }
 }
 
-impl std::fmt::Write for FnvWriter {
+/// Integer fields — most of a function body's `Hash` stream — fold a word
+/// at a time; strings and byte slices go through [`Fnv::update`].
+impl std::hash::Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.word(v as u64);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.word(v as u64);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.word(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
+}
+
+impl std::fmt::Write for Fnv {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.update(s.as_bytes());
         Ok(())
@@ -684,74 +762,91 @@ impl std::fmt::Write for FnvWriter {
 ///
 /// The expensive part of a key is digesting function bodies; reachable
 /// sets of different roots overlap heavily, so the builder digests every
-/// defined function (and every module's struct table) exactly once, up
-/// front, into a program-wide line map that [`KeyBuilder::root_key`]
-/// merely slices per root. A warm `deepmc check` therefore pays one body
-/// hash per function, not one per (root, reachable function) pair —
-/// without this, key construction can cost more than the analysis it
-/// saves on small programs. Precomputing (instead of filling a lazy
-/// `RefCell` map) also makes the builder `Sync`, so a worker pool can
-/// build all root keys concurrently.
+/// function (and every module's struct and symbol tables) exactly once, up
+/// front, into a program-wide digest map that [`KeyBuilder::root_key`]
+/// merely folds per root, and into one digest of the whole program
+/// ([`KeyBuilder::program_digest`]). A warm `deepmc check` therefore pays
+/// one body hash per function, not one per (root, reachable function)
+/// pair. Bodies are digested through their derived `Hash` stream, not
+/// their `Debug` text, which took five times as long. Precomputing
+/// (instead of filling a lazy `RefCell` map) also makes the builder
+/// `Sync`, so a worker pool can build all root keys concurrently.
 pub struct KeyBuilder<'a> {
     program: &'a Program,
-    dsa: &'a DsaResult,
-    cg: &'a CallGraph,
     config_line: String,
-    /// Pre-rendered digest line per defined function:
-    /// `file|name|body-digest|module-digest`.
-    fn_line: HashMap<FuncRef, String>,
+    /// Digest per defined function of its module's file name, its body
+    /// and its module's struct and symbol tables.
+    fn_digest: FxHashMap<FuncRef, u64>,
+    program_digest: u64,
 }
 
 impl<'a> KeyBuilder<'a> {
-    pub fn new(
-        config: &DeepMcConfig,
-        program: &'a Program,
-        dsa: &'a DsaResult,
-        cg: &'a CallGraph,
-    ) -> Self {
-        let mut mod_hash: HashMap<u32, u64> = HashMap::new();
-        let mut fn_line = HashMap::new();
-        for fr in program.defined_funcs() {
-            let mod_digest = *mod_hash.entry(fr.module).or_insert_with(|| {
-                let m = &program.modules[fr.module as usize];
-                let mut h = FnvWriter::new();
-                let _ = write!(h, "{:?}", m.structs);
-                // Call operands are interned handles, so a body digest
-                // alone can't tell `call ext_a` from `call ext_b`: both
-                // print as the same symbol index. The table that gives
-                // those indices meaning must be part of the digest.
-                let _ = write!(h, "{:?}", m.symbols.strings());
-                h.0
-            });
-            let mut h = FnvWriter::new();
-            let _ = write!(h, "{:?}", program.func(fr));
-            let m = program.module_of(fr);
-            fn_line.insert(
-                fr,
-                format!("{}|{}|{:016x}|{:016x}", m.file, program.func(fr).name, h.0, mod_digest),
-            );
+    pub fn new(config: &DeepMcConfig, program: &'a Program) -> Self {
+        let mut fn_digest = FxHashMap::default();
+        let mut whole = Fnv::new();
+        for (mi, m) in program.modules.iter().enumerate() {
+            let mut h = Fnv::new();
+            m.structs.hash(&mut h);
+            // Call operands are interned handles, so a body digest alone
+            // can't tell `call ext_a` from `call ext_b`: both hold the same
+            // symbol index. The table that gives those indices meaning must
+            // be part of the digest.
+            m.symbols.strings().hash(&mut h);
+            let mod_digest = h.0;
+            (&m.name, &m.file).hash(&mut whole);
+            whole.word(mod_digest);
+            // Every function, declarations included, feeds the program
+            // digest; defined ones also get a digest of their own.
+            for (fi, f) in m.funcs() {
+                let mut h = Fnv::new();
+                m.file.hash(&mut h);
+                f.hash(&mut h);
+                h.word(mod_digest);
+                whole.word(h.0);
+                if !f.blocks.is_empty() {
+                    fn_digest.insert(FuncRef::new(mi, fi), h.0);
+                }
+            }
         }
-        KeyBuilder { program, dsa, cg, config_line: format!("{config:?}"), fn_line }
+        KeyBuilder {
+            program,
+            config_line: format!("{config:?}"),
+            fn_digest,
+            program_digest: whole.0,
+        }
     }
 
-    /// Build the content key for one analysis root: checker config, the
-    /// DSG's persistence classification of the root's parameters, and a
-    /// digest of every transitively reachable defined function's body plus
-    /// its module's file name, struct table, and symbol table.
-    pub fn root_key(&self, root: FuncRef) -> String {
-        let program = self.program;
+    /// The checker configuration, as the pack stores it.
+    pub fn config_line(&self) -> &str {
+        &self.config_line
+    }
+
+    /// This configuration's and program's pack file name ([`pack_name`]).
+    pub fn pack_name(&self) -> String {
+        pack_name(&self.config_line, self.program.modules.iter().map(|m| m.file.as_str()))
+    }
+
+    /// A digest of every module field the analysis reads: names, file
+    /// names, struct and symbol tables and every function. A pack written
+    /// for the same digest with a record for every root serves a whole
+    /// check ([`Pack::serves_whole`]).
+    pub fn program_digest(&self) -> u64 {
+        self.program_digest
+    }
+
+    /// Build the key text of one analysis root: the DSG's persistence
+    /// classification of the root's parameters, and a digest of every
+    /// transitively reachable defined function's body plus its module's
+    /// file name, struct table, and symbol table. The configuration is
+    /// the pack's.
+    pub fn root_key(&self, dsa: &DsaResult, cg: &CallGraph, root: FuncRef) -> String {
         let mut s = String::new();
-        let f = program.func(root);
-        // v3: call operands are interned symbols, so function-body digests
-        // changed shape and module digests now fold the symbol table; v2
-        // (string-callee) entries must not satisfy v3 lookups.
-        let _ = writeln!(s, "deepmc-cache-v3");
-        let _ = writeln!(s, "config {}", self.config_line);
+        let f = self.program.func(root);
         let _ = writeln!(s, "root {}", f.name);
 
         // The only DSA facts trace collection reads: the persistence class
         // of each pointer parameter of the root.
-        let g = self.dsa.graph(root);
+        let g = dsa.graph(root);
         for (i, p) in f.params().iter().enumerate() {
             let kind = if let deepmc_pir::Ty::Ptr(_) = p.ty {
                 g.param_node(i)
@@ -769,46 +864,35 @@ impl<'a> KeyBuilder<'a> {
         // its module's struct- and symbol-table digest (field counts feed
         // the field-sensitive unmodified-writeback rule; symbols resolve
         // call operands).
-        let mut reach = self.reachable(root);
-        reach.sort();
-        let mut fold = FnvWriter::new();
+        let mut reach = reachable(cg, root);
+        reach.sort_unstable();
+        let mut fold = Fnv::new();
         for fr in reach.iter() {
-            let line = self.fn_line.get(fr).expect("reachable functions are defined");
-            let _ = writeln!(fold, "{line}");
+            fold.word(*self.fn_digest.get(fr).expect("reachable functions are defined"));
         }
         let _ = writeln!(s, "reach n={} digest={:016x}", reach.len(), fold.0);
         s
     }
-
-    /// Defined functions reachable from `root` through resolvable calls
-    /// (including `root` itself), off the prebuilt call-graph adjacency.
-    /// Membership goes through a `HashSet` — a `Vec::contains` scan here
-    /// is quadratic on wide call graphs.
-    fn reachable(&self, root: FuncRef) -> Vec<FuncRef> {
-        let mut seen: HashSet<FuncRef> = HashSet::from([root]);
-        let mut work = vec![root];
-        let mut order = vec![root];
-        while let Some(fr) = work.pop() {
-            for &t in self.cg.callees_of(fr) {
-                if seen.insert(t) {
-                    order.push(t);
-                    work.push(t);
-                }
-            }
-        }
-        order
-    }
 }
 
-/// One-shot [`KeyBuilder::root_key`] (per-run digest sharing thrown away).
-pub fn root_key(
-    config: &DeepMcConfig,
-    program: &Program,
-    dsa: &DsaResult,
-    root: FuncRef,
-) -> String {
-    let cg = CallGraph::build(program);
-    KeyBuilder::new(config, program, dsa, &cg).root_key(root)
+/// Defined functions reachable from `root` through resolvable calls
+/// (including `root` itself), off the prebuilt call-graph adjacency.
+/// Membership goes through a hash set — a `Vec::contains` scan here is
+/// quadratic on wide call graphs.
+fn reachable(cg: &CallGraph, root: FuncRef) -> Vec<FuncRef> {
+    let mut seen: FxHashSet<FuncRef> = FxHashSet::default();
+    seen.insert(root);
+    let mut work = vec![root];
+    let mut order = vec![root];
+    while let Some(fr) = work.pop() {
+        for &t in cg.callees_of(fr) {
+            if seen.insert(t) {
+                order.push(t);
+                work.push(t);
+            }
+        }
+    }
+    order
 }
 
 #[cfg(test)]
@@ -838,18 +922,31 @@ entry:
 }
 "#;
 
-    fn key_of(src: &str) -> String {
+    /// The pack identity and root key of `main` under `config`.
+    fn ident(src: &str, config: &DeepMcConfig) -> (String, String) {
         let p = program(src);
         let cg = CallGraph::build(&p);
         let dsa = DsaResult::analyze(&p, &cg);
-        let config = DeepMcConfig::new(PersistencyModel::Strict);
-        let root = p.resolve("main").unwrap();
-        root_key(&config, &p, &dsa, root)
+        let kb = KeyBuilder::new(config, &p);
+        (kb.pack_name(), kb.root_key(&dsa, &cg, p.resolve("main").unwrap()))
+    }
+
+    fn key_of(src: &str) -> String {
+        ident(src, &DeepMcConfig::new(PersistencyModel::Strict)).1
+    }
+
+    const CONFIG: &str = "test-config";
+
+    /// A scratch cache directory, emptied first.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("deepmc-pack-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
     }
 
     /// An entry exercising every packed field: shared strings, all three
     /// scalar deltas, and warnings with and without fix hints.
-    fn rich_entry(key: &str) -> CacheEntry {
+    fn rich_entry() -> CacheEntry {
         let warning = |line: u32, class: BugClass, fix: Option<FixHint>| Warning {
             file: "a.c".into(),
             line,
@@ -862,8 +959,6 @@ entry:
             fix,
         };
         CacheEntry {
-            key: key.into(),
-            root: "main".into(),
             warnings: vec![
                 warning(1, BugClass::UnflushedWrite, None),
                 warning(
@@ -908,6 +1003,28 @@ entry:
         }
     }
 
+    /// A fresh record of `e`, whose warnings are the first ones handed to
+    /// the write.
+    fn fresh(key: &str, e: &CacheEntry) -> PackRecord {
+        PackRecord::Fresh {
+            key: key.to_string(),
+            warnings: 0..e.warnings.len(),
+            paths_pruned: e.paths_pruned,
+            events_truncated: e.events_truncated,
+            traces: e.traces,
+        }
+    }
+
+    /// Write a two-record pack (`k1` rich, `k2` empty) into `cache`.
+    fn populate(cache: &AnalysisCache) -> PathBuf {
+        let empty =
+            CacheEntry { warnings: Vec::new(), paths_pruned: 0, events_truncated: 0, traces: 1 };
+        let rich = rich_entry();
+        let pack = cache.read_pack("p.bin", CONFIG);
+        assert!(pack.write(&[fresh("k1", &rich), fresh("k2", &empty)], &rich.warnings, 0).unwrap());
+        pack.path().to_path_buf()
+    }
+
     #[test]
     fn key_is_stable_across_runs() {
         assert_eq!(key_of(BASE), key_of(BASE));
@@ -931,253 +1048,154 @@ entry:
     }
 
     #[test]
-    fn key_changes_with_config() {
-        let p = program(BASE);
-        let cg = CallGraph::build(&p);
-        let dsa = DsaResult::analyze(&p, &cg);
-        let root = p.resolve("main").unwrap();
-        let strict = DeepMcConfig::new(PersistencyModel::Strict);
-        let epoch = DeepMcConfig::new(PersistencyModel::Epoch);
-        assert_ne!(root_key(&strict, &p, &dsa, root), root_key(&epoch, &p, &dsa, root));
+    fn program_digest_covers_what_root_keys_leave_out() {
+        // A declaration nothing calls is in no root key, but the analysis
+        // reads every function, so the whole-program digest covers it.
+        let config = DeepMcConfig::new(PersistencyModel::Strict);
+        let digest = |src: &str| KeyBuilder::new(&config, &program(src)).program_digest();
+        let declared = BASE.to_string() + "extern fn unused(%p: ptr s)\n";
+        assert_eq!(key_of(BASE), key_of(&declared));
+        assert_ne!(digest(BASE), digest(&declared));
+        assert_eq!(digest(BASE), digest(BASE));
     }
 
     #[test]
-    fn store_then_lookup_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+    fn pack_name_changes_with_config_and_files() {
+        let strict = ident(BASE, &DeepMcConfig::new(PersistencyModel::Strict));
+        let epoch = ident(BASE, &DeepMcConfig::new(PersistencyModel::Epoch));
+        assert_ne!(strict.0, epoch.0, "the configuration names the pack");
+        assert_eq!(strict.1, epoch.1, "root keys leave the configuration to the pack");
+        assert_eq!(pack_name(CONFIG, ["b.c", "a.c"]), pack_name(CONFIG, ["a.c", "b.c"]));
+        assert_ne!(pack_name(CONFIG, ["a.c"]), pack_name(CONFIG, ["a.c", "b.c"]));
+    }
+
+    #[test]
+    fn pack_roundtrips_every_field() {
+        let dir = scratch("roundtrip");
         let cache = AnalysisCache::open(&dir);
-        let entry = rich_entry("k1");
-        assert!(cache.lookup("k1").is_none(), "cold cache misses");
-        cache.store(&entry);
-        assert_eq!(cache.lookup("k1"), Some(entry));
-        assert!(cache.lookup("k2").is_none(), "different key misses");
+        let cold = cache.read_pack("p.bin", CONFIG);
+        assert!(cold.is_empty() && cold.get("k1").is_none(), "cold cache misses");
+        populate(&cache);
+        let warm = cache.read_pack("p.bin", CONFIG);
+        assert_eq!(warm.entries().count(), 2);
+        assert_eq!(warm.get("k1"), Some((0, rich_entry())));
+        assert_eq!(warm.get("k2").map(|(i, e)| (i, e.traces)), Some((1, 1)));
+        assert!(warm.get("k3").is_none(), "an unknown key misses");
+        assert!(!warm.serves_whole(0) && !warm.serves_whole(7), "written for no program");
+        // Kept in place: the bytes would not change, so nothing is written.
+        assert!(!warm.write(&[PackRecord::Kept(0), PackRecord::Kept(1)], &[], 0).unwrap());
+        // Written for a whole program: the pack serves that program only,
+        // its records in order.
+        assert!(warm.write(&[PackRecord::Kept(0), PackRecord::Kept(1)], &[], 7).unwrap());
+        let whole = cache.read_pack("p.bin", CONFIG);
+        assert!(whole.serves_whole(7) && !whole.serves_whole(8));
+        let traces: Vec<u64> = whole.entries().map(|e| e.traces).collect();
+        assert_eq!(traces, [5, 1]);
+        // Kept records copy byte for byte into a reordered pack.
+        assert!(whole.write(&[PackRecord::Kept(1), PackRecord::Kept(0)], &[], 0).unwrap());
+        let swapped = cache.read_pack("p.bin", CONFIG);
+        assert_eq!(swapped.get("k1"), Some((1, rich_entry())));
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["p.bin"], "one file per pack, no temporary left behind");
+        // Another configuration's pack under the same name: quarantined.
+        let other = cache.read_pack("p.bin", "other-config");
+        assert!(other.is_empty() && other.quarantined() == 1);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn claim_excludes_second_claimer_until_released() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-claim-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        let guard = cache.claim("k").expect("first claim wins");
-        assert!(cache.claim("k").is_none(), "held claim must exclude");
-        drop(guard);
-        let again = cache.claim("k");
-        assert!(again.is_some(), "released claim is re-claimable");
-        drop(again);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn waiter_sees_entry_stored_by_claim_holder() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-wait-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        let entry = CacheEntry {
-            key: "k".into(),
-            root: "main".into(),
-            warnings: Vec::new(),
-            paths_pruned: 0,
-            events_truncated: 0,
-            traces: 1,
-        };
-        let guard = cache.claim("k").expect("claim");
-        let got = std::thread::scope(|s| {
-            let waiter = s.spawn(|| cache.wait_for("k"));
-            std::thread::sleep(Duration::from_millis(10));
-            cache.store(&entry);
-            drop(guard);
-            waiter.join().unwrap()
-        });
-        assert_eq!(got, Some(entry));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_claim_without_entry_is_broken() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-stale-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir).with_staleness(Duration::from_millis(100));
-        // Simulate a dead holder: the claim file exists but nothing
-        // heartbeats it, as if the holding process was killed. Age the
-        // mtime past the cutoff so the test doesn't sleep for it.
-        fs::create_dir_all(&dir).unwrap();
-        let claim = cache.claim_path("k");
-        fs::write(&claim, b"").unwrap();
-        let aged = SystemTime::now() - Duration::from_secs(5);
-        fs::OpenOptions::new().write(true).open(&claim).unwrap().set_modified(aged).unwrap();
-        assert_eq!(cache.wait_for("k"), None, "no entry ever appears");
-        assert!(cache.claim("k").is_some(), "stale claim was broken");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn slow_but_alive_holder_is_not_declared_dead() {
-        // Regression: wait_for used to break any claim older than a fixed
-        // ~1s, double-computing behind every legitimately slow holder.
-        // With heartbeating, a holder that takes many times the staleness
-        // cutoff must still win the wait.
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-slow-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir).with_staleness(Duration::from_millis(80));
-        let entry = CacheEntry {
-            key: "k".into(),
-            root: "main".into(),
-            warnings: Vec::new(),
-            paths_pruned: 0,
-            events_truncated: 0,
-            traces: 3,
-        };
-        let guard = cache.claim("k").expect("claim");
-        let got = std::thread::scope(|s| {
-            let waiter = s.spawn(|| cache.wait_for("k"));
-            // Holder "computes" for 5x the staleness cutoff.
-            std::thread::sleep(Duration::from_millis(400));
-            cache.store(&entry);
-            drop(guard);
-            waiter.join().unwrap()
-        });
-        assert_eq!(got, Some(entry), "waiter must get the slow holder's entry, not None");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_entry_is_quarantined_once() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-quar-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        let entry = rich_entry("k");
-        cache.store(&entry);
-        let path = cache.path_for("k");
-        // Flip a payload byte without updating the header checksum.
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(cache.lookup("k").is_none(), "corrupt entry is a miss");
-        assert_eq!(cache.quarantined_count(), 1);
-        assert!(!path.exists(), "corrupt file was moved out of the way");
-        let quarantined: Vec<_> =
-            fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().collect::<Result<_, _>>().unwrap();
-        assert_eq!(quarantined.len(), 1, "the bad entry landed in quarantine/");
-        // Self-healing: the key is now a clean miss and can be re-stored.
-        assert!(cache.lookup("k").is_none());
-        assert_eq!(cache.quarantined_count(), 1, "a clean miss quarantines nothing");
-        cache.store(&entry);
-        assert_eq!(cache.lookup("k"), Some(entry));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unparsable_entry_is_quarantined() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-garbage-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(cache.path_for("k"), b"not a cache entry at all").unwrap();
-        assert!(cache.lookup("k").is_none());
-        assert_eq!(cache.quarantined_count(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bumped_schema_version_is_a_clean_miss() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-ver-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        cache.store(&rich_entry("k"));
-        let path = cache.path_for("k");
-        // A future writer's entry: same magic, schema version + 1.
-        let mut bytes = fs::read(&path).unwrap();
-        let bumped = (SCHEMA_VERSION + 1).to_le_bytes();
-        bytes[4] = bumped[0];
-        bytes[5] = bumped[1];
-        fs::write(&path, &bytes).unwrap();
-        assert!(cache.lookup("k").is_none(), "foreign-version entry misses");
-        assert_eq!(cache.quarantined_count(), 0, "a version miss is clean, not quarantine");
-        assert_eq!(cache.version_miss_count(), 1);
-        assert!(path.exists(), "the foreign entry is left for its owner (or our overwrite)");
-        // This run's store overwrites it and the key works again.
-        cache.store(&rich_entry("k"));
-        assert_eq!(cache.lookup("k"), Some(rich_entry("k")));
-        assert_eq!(cache.version_miss_count(), 1, "a valid entry is not a version miss");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_endianness_is_a_clean_miss() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-end-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        cache.store(&rich_entry("k"));
-        let path = cache.path_for("k");
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[6] = 0x02; // a big-endian writer's marker
-        fs::write(&path, &bytes).unwrap();
-        assert!(cache.lookup("k").is_none(), "foreign-endian entry misses");
-        assert_eq!(cache.quarantined_count(), 0);
-        assert_eq!(cache.version_miss_count(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_json_entry_is_quarantined_on_miss() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-json-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let legacy = cache.legacy_path_for("k");
-        fs::write(&legacy, b"{\"key\":\"k\"}\ndeepmc-entry-fnv1a:0000000000000000\n").unwrap();
-        assert!(cache.lookup("k").is_none(), "JSON-era entry can't serve a binary lookup");
-        assert_eq!(cache.quarantined_count(), 1, "the stale format is quarantined once");
-        assert!(!legacy.exists());
-        // The key is now an ordinary cold key.
-        assert!(cache.lookup("k").is_none());
-        assert_eq!(cache.quarantined_count(), 1);
-        cache.store(&rich_entry("k"));
-        assert_eq!(cache.lookup("k"), Some(rich_entry("k")));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn collision_with_wrong_key_is_a_miss_and_quarantined() {
-        let dir = std::env::temp_dir().join(format!("deepmc-cache-coll-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = AnalysisCache::open(&dir);
-        // Simulate a colliding file: write `other`'s (well-formed) entry
-        // where `mine` would hash.
-        fs::create_dir_all(&dir).unwrap();
-        let mine_path = dir.join(format!("{:016x}.bin", fnv1a(b"mine")));
-        fs::write(&mine_path, encode_entry(&rich_entry("other"))).unwrap();
-        assert!(cache.lookup("mine").is_none(), "key text mismatch rejects the entry");
-        assert_eq!(cache.quarantined_count(), 1, "mismatched entry is quarantined, not re-missed");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn entry_checksum_roundtrip_and_rejection() {
-        let entry = rich_entry("k");
-        let encoded = encode_entry(&entry);
-        assert_eq!(encoded[0..4], ENTRY_MAGIC);
-        assert!(matches!(decode_entry(&encoded), Ok(e) if e == entry));
-        let torn = &encoded[..encoded.len() / 2];
-        assert!(
-            matches!(decode_entry(torn), Err(DecodeFail::Corrupt(_))),
-            "torn file rejected as corrupt"
-        );
-        assert!(
-            matches!(decode_entry(&encoded[HEADER_LEN..]), Err(DecodeFail::Corrupt(_))),
-            "headerless payload rejected"
-        );
     }
 
     #[test]
     fn string_table_deduplicates_repeated_strings() {
-        let entry = rich_entry("k");
-        let encoded = encode_entry(&entry);
+        let mut body = Vec::new();
+        let e = rich_entry();
+        encode_body(&mut body, &e.warnings, 2, 1, 5);
         // The 8 warnings share file/function/root strings and each adds a
-        // distinct message: key, "main", "a.c", "f", plus 8 messages = 12.
-        let n = u32::from_le_bytes(encoded[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap());
-        assert_eq!(n, 12, "repeated strings must be interned once");
+        // distinct message: "a.c", "f", "main", plus 8 messages = 11.
+        let n = u32::from_le_bytes(body[24..28].try_into().unwrap());
+        assert_eq!(n, 11, "repeated strings must be interned once");
+        assert_eq!(decode_body(&body), Ok(e));
+    }
+
+    /// Damage the pack with `damage`, then expect one quarantine, a clean
+    /// miss next, and a healed pack after a rewrite.
+    fn quarantined_once_then_heals(tag: &str, damage: impl Fn(&mut Vec<u8>)) {
+        let dir = scratch(tag);
+        let cache = AnalysisCache::open(&dir);
+        let path = populate(&cache);
+        let mut bytes = fs::read(&path).unwrap();
+        damage(&mut bytes);
+        fs::write(&path, &bytes).unwrap();
+        let damaged = cache.read_pack("p.bin", CONFIG);
+        assert!(damaged.is_empty(), "{tag}: a damaged pack misses");
+        assert_eq!(damaged.quarantined(), 1, "{tag}");
+        assert!(!path.exists(), "{tag}: the damaged pack was moved out of the way");
+        let quarantined: Vec<_> =
+            fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().collect::<Result<_, _>>().unwrap();
+        assert_eq!(quarantined.len(), 1, "{tag}: the bad pack landed in quarantine/");
+        // Self-healing: a clean miss quarantines nothing more, and the
+        // rewritten pack serves again.
+        let next = cache.read_pack("p.bin", CONFIG);
+        assert!(
+            next.is_empty() && next.quarantined() == 0,
+            "{tag}: a clean miss quarantines nothing"
+        );
+        populate(&cache);
+        assert_eq!(cache.read_pack("p.bin", CONFIG).get("k1"), Some((0, rich_entry())));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_pack_is_quarantined_once_then_heals() {
+        // Flip a payload byte without updating the header checksum.
+        quarantined_once_then_heals("corrupt", |b| *b.last_mut().unwrap() ^= 0xFF);
+        quarantined_once_then_heals("garbage", |b| *b = b"not a cache pack at all".to_vec());
+    }
+
+    #[test]
+    fn truncated_pack_is_quarantined_once_then_heals() {
+        quarantined_once_then_heals("torn", |b| b.truncate(b.len() / 2));
+        quarantined_once_then_heals("headerless", |b| b.truncate(HEADER_LEN - 1));
+    }
+
+    #[test]
+    fn foreign_version_or_endianness_is_a_clean_miss() {
+        type Damage = fn(&mut Vec<u8>);
+        let foreign: [(&str, Damage); 2] = [
+            ("version", |b| b[4..6].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes())),
+            ("endian", |b| b[6] = 0x02), // a big-endian writer's marker
+        ];
+        for (tag, damage) in foreign {
+            let dir = scratch(tag);
+            let cache = AnalysisCache::open(&dir);
+            let path = populate(&cache);
+            let mut bytes = fs::read(&path).unwrap();
+            damage(&mut bytes);
+            fs::write(&path, &bytes).unwrap();
+            let pack = cache.read_pack("p.bin", CONFIG);
+            assert!(pack.is_empty(), "{tag}: a foreign pack misses");
+            assert_eq!(pack.quarantined(), 0, "{tag}: a foreign pack is not quarantined");
+            assert!(path.exists(), "{tag}: the foreign pack is left for our write");
+            // This run's write replaces it and the pack works again.
+            let rich = rich_entry();
+            assert!(pack.write(&[fresh("k1", &rich)], &rich.warnings, 0).unwrap());
+            assert_eq!(cache.read_pack("p.bin", CONFIG).get("k1"), Some((0, rich)));
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn json_era_entries_are_quarantined_once_on_a_cold_start() {
+        let dir = scratch("json");
+        let cache = AnalysisCache::open(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let legacy = dir.join("00000000000000af.json");
+        fs::write(&legacy, b"{\"key\":\"k\"}\ndeepmc-entry-fnv1a:0000000000000000\n").unwrap();
+        let cold = cache.read_pack("p.bin", CONFIG);
+        assert!(cold.is_empty(), "a JSON-era entry serves nothing");
+        assert_eq!(cold.quarantined(), 1, "the stale format is quarantined once");
+        assert!(!legacy.exists());
+        assert_eq!(cache.read_pack("p.bin", CONFIG).quarantined(), 0);
+        populate(&cache);
+        assert_eq!(cache.read_pack("p.bin", CONFIG).get("k1"), Some((0, rich_entry())));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

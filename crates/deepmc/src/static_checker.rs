@@ -37,7 +37,7 @@
 //! * **EmptyDurableTx** fires at commit of a transaction that performed no
 //!   persistent write on this path (Fig. 7).
 
-use crate::cache::{self, AnalysisCache, CacheEntry, CacheRunStats};
+use crate::cache::{self, AnalysisCache, CacheEntry, CacheRunStats, Pack, PackRecord};
 use crate::config::DeepMcConfig;
 use crate::report::{FixHint, Report, RootFailure, Warning};
 use deepmc_analysis::trace::{EvKind, EvLoc};
@@ -70,19 +70,21 @@ struct RootOutcome {
 }
 
 enum RootSource {
-    CacheHit,
-    Computed { stored: bool },
+    /// Served by record `i` of the loaded pack.
+    CacheHit(usize),
+    /// Analyzed here; `key` is the root's key text when a cache is in use.
+    Computed { key: Option<String> },
 }
 
 impl RootOutcome {
-    fn from_entry(entry: CacheEntry) -> RootOutcome {
+    fn from_entry(record: usize, entry: CacheEntry) -> RootOutcome {
         RootOutcome {
             raw: entry.warnings,
             traces: entry.traces,
             paths_pruned: entry.paths_pruned,
             events_truncated: entry.events_truncated,
             timed_out: false,
-            source: RootSource::CacheHit,
+            source: RootSource::CacheHit(record),
         }
     }
 }
@@ -127,14 +129,18 @@ impl StaticChecker {
     /// calling thread and `n - 1` pool helpers sharing one trace
     /// collector.
     ///
-    /// The pipeline runs root by root. With a cache, each root's content
-    /// key ([`cache::root_key`]) is looked up first; a hit replays the
-    /// stored raw warnings and pruning/truncation deltas instead of
-    /// collecting and scanning traces, so the report — notes included —
-    /// is byte-identical to a cold run. Cold roots are *claimed*
-    /// ([`AnalysisCache::claim`]) so two workers never double-compute one.
-    /// CFG, call-graph, and DSA construction always run (they are cheap
-    /// and the key depends on DSA facts).
+    /// The pipeline runs root by root. With a cache, the program's pack
+    /// ([`cache::Pack`]) is read once before the fan-out, and each root's
+    /// key ([`cache::KeyBuilder::root_key`]) is looked up in it; a hit
+    /// replays the stored raw warnings and pruning/truncation deltas
+    /// instead of collecting and scanning traces, so the report — notes
+    /// included — is byte-identical to a cold run. Workers never touch
+    /// the file system: the pack is written once after the merge, holding
+    /// this run's hits and stored misses in root order. The keys depend on
+    /// DSA facts, so call-graph and DSA construction run whenever a root
+    /// is looked up — except when the pack holds every root of this very
+    /// program ([`cache::Pack::serves_whole`]): then its records are the
+    /// outcomes, in root order, with no analysis at all.
     ///
     /// Determinism: per-root results are merged in root order and
     /// [`Report::from_raw`] fully sorts before deduplicating, so the
@@ -146,43 +152,40 @@ impl StaticChecker {
         cache: Option<&AnalysisCache>,
         jobs: usize,
     ) -> (Report, CacheRunStats) {
-        let jobs = pool::resolve_jobs(jobs);
-        let cg = {
-            let _s = obs::span("cfg");
-            CallGraph::build(program)
-        };
-        let dsa = {
-            let _s = obs::span("dsa");
-            DsaResult::analyze(program, &cg)
-        };
-        let collector = TraceCollector::new(program, &dsa, self.config.trace.clone());
         let keys = cache.map(|_| {
             let _s = obs::span("cache.keys");
-            cache::KeyBuilder::new(&self.config, program, &dsa, &cg)
+            cache::KeyBuilder::new(&self.config, program)
         });
-        let roots = collector.analysis_roots(&cg);
-        obs::counter("check.roots", roots.len() as u64);
-        let quarantined_before = cache.map(|c| c.quarantined_count()).unwrap_or(0);
-        let outcomes = {
-            // One driver-side span over the whole fan-out, so the
-            // top-level phases partition the wall clock even when the
-            // per-root traces/rules spans land on worker threads.
-            let _s = obs::span_lazy("roots", || vec![("jobs", jobs.to_string())]);
-            // Panic isolation: a panicking root (pathological input, or
-            // injected chaos) becomes an Err slot here and a RootFailure
-            // below, instead of aborting the whole run.
-            pool::run_indexed_caught(jobs, roots.clone(), |_, root| {
-                self.check_root(program, &collector, cache, keys.as_ref(), root)
-            })
+        let pack = cache.zip(keys.as_ref()).map(|(c, kb)| {
+            let _s = obs::span("cache.read");
+            c.read_pack(&kb.pack_name(), kb.config_line())
+        });
+        let cached = pack.as_ref().zip(keys.as_ref());
+        let (roots, outcomes) = match cached {
+            // Unchanged program: every root's record, in root order.
+            Some((pack, kb)) if pack.serves_whole(kb.program_digest()) => {
+                let outcomes: Vec<_> = pack
+                    .entries()
+                    .enumerate()
+                    .map(|(i, e)| Ok(RootOutcome::from_entry(i, e)))
+                    .collect();
+                obs::counter("check.roots", outcomes.len() as u64);
+                (Vec::new(), outcomes)
+            }
+            _ => self.analyze_roots(program, cached, jobs),
         };
+        let whole = outcomes.len();
         // Deterministic merge: outcomes arrive in root order regardless of
         // scheduling, and every aggregate below is associative.
         let mut raw = Vec::new();
-        let mut stats = CacheRunStats::default();
+        let quarantined = pack.as_ref().map_or(0, |p| p.quarantined());
+        let mut stats = CacheRunStats { quarantined, ..CacheRunStats::default() };
         let mut paths_pruned = 0u64;
         let mut events_truncated = 0u64;
         let mut timeouts = 0u64;
         let mut failures: Vec<RootFailure> = Vec::new();
+        // What the next pack holds for each cached root.
+        let mut records: Vec<PackRecord> = Vec::new();
         for (i, result) in outcomes.into_iter().enumerate() {
             let o = match result {
                 Ok(o) => o,
@@ -192,13 +195,26 @@ impl StaticChecker {
                 }
             };
             match o.source {
-                RootSource::CacheHit => stats.hits += 1,
-                RootSource::Computed { stored } => {
-                    if cache.is_some() {
-                        stats.misses += 1;
-                    }
-                    if stored {
+                RootSource::CacheHit(record) => {
+                    stats.hits += 1;
+                    records.push(PackRecord::Kept(record));
+                }
+                RootSource::Computed { key: None } => {}
+                RootSource::Computed { key: Some(key) } => {
+                    stats.misses += 1;
+                    // A budget-truncated result is not the root's true
+                    // analysis: caching it would replay the partial
+                    // warning set on runs that have no (or a larger)
+                    // budget. Leave the root cold instead.
+                    if !o.timed_out {
                         stats.stores += 1;
+                        records.push(PackRecord::Fresh {
+                            key,
+                            warnings: raw.len()..raw.len() + o.raw.len(),
+                            traces: o.traces,
+                            paths_pruned: o.paths_pruned,
+                            events_truncated: o.events_truncated,
+                        });
                     }
                 }
             }
@@ -210,13 +226,22 @@ impl StaticChecker {
             events_truncated += o.events_truncated;
             raw.extend(o.raw);
         }
+        if let Some((pack, kb)) = cached {
+            let _s = obs::span("cache.write");
+            // The pack serves a whole check only if it holds every root.
+            let program_digest = if records.len() == whole { kb.program_digest() } else { 0 };
+            // A failed write is silent: a cache must never break the check
+            // itself, and the next run simply misses.
+            let _ = pack.write(&records, &raw, program_digest);
+        }
+        // Free the pack and the key texts before the report is built.
+        drop((pack, keys, records));
         if !failures.is_empty() {
             obs::counter("robust.panics", failures.len() as u64);
         }
         if timeouts > 0 {
             obs::counter("robust.timeouts", timeouts);
         }
-        stats.quarantined = cache.map(|c| c.quarantined_count() - quarantined_before).unwrap_or(0);
         obs::counter("check.traces", stats.traces);
         obs::counter("check.paths_pruned", paths_pruned);
         obs::counter("check.events_truncated", events_truncated);
@@ -257,47 +282,63 @@ impl StaticChecker {
         (report, stats)
     }
 
+    /// Build the call graph and DSA, then fan the analysis roots out: the
+    /// roots in order, and each one's outcome or panic message.
+    #[allow(clippy::type_complexity)]
+    fn analyze_roots(
+        &self,
+        program: &Program,
+        cache: Option<(&Pack, &cache::KeyBuilder<'_>)>,
+        jobs: usize,
+    ) -> (Vec<FuncRef>, Vec<Result<RootOutcome, String>>) {
+        let jobs = pool::resolve_jobs(jobs);
+        let cg = {
+            let _s = obs::span("cfg");
+            CallGraph::build(program)
+        };
+        let dsa = {
+            let _s = obs::span("dsa");
+            DsaResult::analyze(program, &cg)
+        };
+        let collector = TraceCollector::new(program, &dsa, self.config.trace.clone());
+        let roots = collector.analysis_roots(&cg);
+        obs::counter("check.roots", roots.len() as u64);
+        // One caller-side span over the whole fan-out, so the top-level
+        // phases partition the wall clock even when the per-root
+        // traces/rules spans land on worker threads.
+        let _s = obs::span_lazy("roots", || vec![("jobs", jobs.to_string())]);
+        // Panic isolation: a panicking root (pathological input, or
+        // injected chaos) becomes an Err slot here and a RootFailure in
+        // the merge, instead of aborting the whole run.
+        let outcomes = pool::run_indexed_caught(jobs, roots.clone(), |_, root| {
+            let key = cache.map(|(pack, kb)| (pack, kb.root_key(&dsa, &cg, root)));
+            self.check_root(program, &collector, key, root)
+        });
+        (roots, outcomes)
+    }
+
     /// One worker's unit of work: produce everything root `root`
     /// contributes to the run. Pure function of (checker, program, root)
-    /// plus cache state, so workers can run it in any order.
+    /// plus the read-only pack, so workers can run it in any order.
     fn check_root(
         &self,
         program: &Program,
         collector: &TraceCollector<'_>,
-        cache: Option<&AnalysisCache>,
-        keys: Option<&cache::KeyBuilder<'_>>,
+        cache: Option<(&Pack, String)>,
         root: FuncRef,
     ) -> RootOutcome {
-        let key = keys.map(|kb| kb.root_key(root));
-        if let (Some(c), Some(k)) = (cache, key.as_deref()) {
-            if let Some(entry) = c.lookup(k) {
-                if obs::active() {
-                    obs::instant_args("cache.hit", root_arg(program, root));
-                }
-                return RootOutcome::from_entry(entry);
+        let Some((pack, key)) = cache else {
+            return self.compute_root(program, collector, root);
+        };
+        if let Some((record, entry)) = pack.get(&key) {
+            if obs::active() {
+                obs::instant_args("cache.hit", root_arg(program, root));
             }
-            // Cold root. Claim it so a concurrent worker — here or in
-            // another process sharing the directory — doesn't recompute.
-            if let Some(_guard) = c.claim(k) {
-                let mut out = self.compute_root(program, collector, root);
-                self.store_root(c, k.to_string(), program, root, &mut out);
-                return out;
-            }
-            // Claim lost: the holder is computing. Wait for its entry;
-            // if the claim turns out stale (holder died), compute here.
-            obs::counter("cache.claim_waits", 1);
-            let waited = {
-                let _s = obs::span_lazy("cache.wait", || root_arg(program, root));
-                c.wait_for(k)
-            };
-            if let Some(entry) = waited {
-                return RootOutcome::from_entry(entry);
-            }
-            let mut out = self.compute_root(program, collector, root);
-            self.store_root(c, k.to_string(), program, root, &mut out);
-            return out;
+            return RootOutcome::from_entry(record, entry);
         }
-        self.compute_root(program, collector, root)
+        let mut out = self.compute_root(program, collector, root);
+        out.source = RootSource::Computed { key: Some(key) };
+        out
     }
 
     /// Collect and scan one root's traces (the uncached path).
@@ -333,33 +374,8 @@ impl StaticChecker {
             paths_pruned: trunc.paths_pruned,
             events_truncated: trunc.events_truncated,
             timed_out: trunc.timed_out,
-            source: RootSource::Computed { stored: false },
+            source: RootSource::Computed { key: None },
         }
-    }
-
-    fn store_root(
-        &self,
-        c: &AnalysisCache,
-        key: String,
-        program: &Program,
-        root: FuncRef,
-        out: &mut RootOutcome,
-    ) {
-        // A budget-truncated result is not the root's true analysis:
-        // caching it would replay the partial warning set on runs that
-        // have no (or a larger) budget. Leave the root cold instead.
-        if out.timed_out {
-            return;
-        }
-        c.store(&CacheEntry {
-            key,
-            root: program.func(root).name.clone(),
-            warnings: out.raw.clone(),
-            paths_pruned: out.paths_pruned,
-            events_truncated: out.events_truncated,
-            traces: out.traces,
-        });
-        out.source = RootSource::Computed { stored: true };
     }
 
     /// Apply the rules to pre-collected traces.

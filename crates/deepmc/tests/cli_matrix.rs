@@ -10,7 +10,7 @@
 //! wiring `ObsOpts` through it breaks the build here, not in the field.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_deepmc");
 
@@ -275,4 +275,68 @@ fn verbose_check_prints_the_cache_line() {
     assert!(cold.contains("cache: 0 hit(s), 1 miss(es)"), "cold run:\n{cold}");
     let warm = run();
     assert!(warm.contains("cache: 1 hit(s), 0 miss(es)"), "warm run:\n{warm}");
+}
+
+/// Six analysis roots, three of them with an unflushed store, sharing one
+/// callee.
+const MULTI_ROOT: &str = "module m\nfile \"m.c\"\nstruct s { a: i64, b: i64 }\n\
+                          fn leaf(%p: ptr s) {\nentry:\n  store %p.a, 1\n  ret\n}\n\
+                          fn clean_a() {\nentry:\n  %r = palloc s\n  store %r.a, 1\n  \
+                          flush %r.a\n  fence\n  ret\n}\n\
+                          fn clean_b() {\nentry:\n  %r = palloc s\n  store %r.b, 2\n  \
+                          flush %r.b\n  fence\n  ret\n}\n\
+                          fn clean_c() {\nentry:\n  %r = palloc s\n  ret\n}\n\
+                          fn buggy_a() {\nentry:\n  %r = palloc s\n  call leaf(%r)\n  ret\n}\n\
+                          fn buggy_b() {\nentry:\n  %r = palloc s\n  call leaf(%r)\n  \
+                          store %r.b, 3\n  ret\n}\n\
+                          fn buggy_c() {\nentry:\n  %r = palloc s\n  store %r.b, 4\n  ret\n}\n";
+
+/// The analysis cache is one pack file per program: a cold multi-root
+/// check leaves exactly that file behind (no per-root entries, claim or
+/// temporary files). Two checks started together on one cache directory
+/// each print the reference report with its exit code, and the pack the
+/// last one wrote serves every root of a third run.
+#[test]
+fn cache_is_one_pack_file_and_concurrent_checks_agree() {
+    let ctx = Ctx::new("pack");
+    let src = ctx.dir.join("multi.pir");
+    std::fs::write(&src, MULTI_ROOT).expect("write multi-root fixture");
+    let check = |extra: &[&str]| {
+        let mut cmd = Command::new(BIN);
+        cmd.current_dir(&ctx.dir).args(["check", "-strict", "--jobs", "2"]).args(extra).arg(&src);
+        cmd
+    };
+    let reference = check(&["--no-cache"]).output().expect("spawn deepmc");
+    assert_eq!(reference.status.code(), Some(1), "the fixture has warnings");
+
+    let cold = check(&["--verbose", "--cache-dir", "cold"]).output().expect("spawn deepmc");
+    let stderr = String::from_utf8_lossy(&cold.stderr);
+    assert!(stderr.contains("cache: 0 hit(s), 6 miss(es), 6 store(s)"), "cold run:\n{stderr}");
+    assert_eq!(cold.stdout, reference.stdout);
+    let files: Vec<String> = std::fs::read_dir(ctx.dir.join("cold"))
+        .expect("cache dir exists")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(files.len(), 1, "one pack, no entry, claim or temporary files: {files:?}");
+    assert!(files[0].ends_with(".bin"), "{files:?}");
+
+    // Both processes are started before either is waited for.
+    let racers: Vec<_> = (0..2)
+        .map(|_| {
+            check(&["--cache-dir", "shared"])
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("spawn deepmc")
+        })
+        .collect();
+    for racer in racers {
+        let out = racer.wait_with_output().expect("wait for deepmc");
+        assert_eq!(out.status.code(), reference.status.code());
+        assert_eq!(out.stdout, reference.stdout, "a concurrent check printed another report");
+    }
+    let third = check(&["--verbose", "--cache-dir", "shared"]).output().expect("spawn deepmc");
+    let stderr = String::from_utf8_lossy(&third.stderr);
+    assert!(stderr.contains("6 hit(s), 0 miss(es)"), "third run:\n{stderr}");
+    assert_eq!(third.stdout, reference.stdout);
 }

@@ -8,8 +8,8 @@
 //!
 //! * byte-identical rendered and JSON reports, and
 //! * byte-identical incremental-cache directories (same file names, same
-//!   contents — the claim protocol must leave no residue and the stored
-//!   entries must not depend on which worker computed them).
+//!   contents — no temporary file may be left behind, and the stored
+//!   records must not depend on which worker computed them).
 //!
 //! A third, instrumented leg runs the same parallel check with a
 //! `deepmc-obs` recorder attached: the observability layer must not

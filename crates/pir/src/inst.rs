@@ -166,7 +166,7 @@ impl BinOp {
 }
 
 /// A non-terminator PIR instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Inst {
     /// Allocate a struct in persistent memory (`pmemobj_tx_alloc` /
     /// `nvm_alloc` / `pmalloc` equivalents). `dst` becomes a pointer.
@@ -231,7 +231,7 @@ impl Inst {
 }
 
 /// Block terminators.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Terminator {
     /// Return, optionally with a value.
     Ret { value: Option<Operand> },

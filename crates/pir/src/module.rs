@@ -44,7 +44,7 @@ impl LocalId {
 }
 
 /// Declaration of a local: its name (without the `%` sigil) and type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LocalDecl {
     pub name: String,
     pub ty: Ty,
@@ -74,7 +74,7 @@ pub enum FuncAttr {
 }
 
 /// An instruction paired with its source location.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Spanned<T> {
     pub inst: T,
     pub loc: SourceLoc,
@@ -87,7 +87,7 @@ impl<T> Spanned<T> {
 }
 
 /// A half-open range `[start, end)` into a function's instruction arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct InstRange {
     pub start: u32,
     pub end: u32,
@@ -109,7 +109,7 @@ impl InstRange {
 
 /// A basic block: a label, a range of straight-line instructions in the
 /// function's arena, and one terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Block {
     pub label: String,
     pub insts: InstRange,
@@ -117,7 +117,7 @@ pub struct Block {
 }
 
 /// A PIR function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Function {
     pub name: String,
     /// Number of leading locals that are parameters.

@@ -55,7 +55,7 @@ impl Ty {
 }
 
 /// One named field of a struct.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FieldDef {
     pub name: String,
     pub ty: Ty,
@@ -63,7 +63,7 @@ pub struct FieldDef {
 
 /// A struct definition. Objects of this type are allocated with `palloc`
 /// (persistent) or `valloc` (volatile).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StructDef {
     pub name: String,
     pub fields: Vec<FieldDef>,
