@@ -1198,7 +1198,7 @@ mod tests {
 
     #[test]
     fn interrupt_cuts_at_the_same_step_for_any_worker_count() {
-        let dir = std::env::temp_dir().join(format!("deepmc-sweep-j5-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("deepmc-sweep-j8-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let apps = SweepApp::ALL;

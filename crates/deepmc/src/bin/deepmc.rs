@@ -60,7 +60,7 @@
 //! exit 1 so CI can distinguish "complete verdict" from "partial
 //! verdict".
 
-use deepmc::{DeepMcConfig, Report, StaticChecker};
+use deepmc::{CheckError, DeepMcConfig, Report, StaticChecker};
 use deepmc_analysis::Program;
 use deepmc_interp::{InterpConfig, NoHooks, Outcome, Session};
 use deepmc_models::PersistencyModel;
@@ -220,19 +220,18 @@ fn digest_args(args: &[String]) -> Vec<String> {
     out
 }
 
-fn load_modules(paths: &[String]) -> Result<Vec<deepmc_pir::Module>, String> {
+/// Read, parse and verify every input file through the front end at
+/// `jobs` (`0`: `DEEPMC_JOBS`, then all cores). The error names the first
+/// failing file in argument order.
+fn load_modules(paths: &[String], jobs: usize) -> Result<Vec<deepmc_pir::Module>, String> {
     if paths.is_empty() {
         return Err("no input files".into());
     }
-    paths
-        .iter()
-        .map(|p| {
-            let src = std::fs::read_to_string(p).map_err(|e| format!("cannot read `{p}`: {e}"))?;
-            let m = deepmc_pir::parse(&src).map_err(|e| format!("{p}: {e}"))?;
-            deepmc_pir::verify::verify_module(&m).map_err(|e| format!("{p}: {e}"))?;
-            Ok(m)
+    deepmc::parse_and_verify(paths, jobs, |p| std::fs::read_to_string(p).map_err(CheckError::Read))
+        .map_err(|(i, e)| match e {
+            CheckError::Read(e) => format!("cannot read `{}`: {e}", paths[i]),
+            e => format!("{}: {e}", paths[i]),
         })
-        .collect()
 }
 
 /// The exit code a report maps to, computed separately from printing so
@@ -548,7 +547,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let progress = obs_opts.progress_guard("check");
     let total_span = obs::span("total");
     let parse_span = obs::span("parse");
-    let modules = match load_modules(&files) {
+    let modules = match load_modules(&files, jobs) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");
@@ -642,7 +641,7 @@ fn cmd_fix(args: &[String]) -> ExitCode {
         eprintln!("specify the intended persistency model: -strict, -epoch, or -strand");
         return ExitCode::from(2);
     };
-    let modules = match load_modules(&files) {
+    let modules = match load_modules(&files, 0) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");
@@ -682,7 +681,7 @@ fn cmd_fix(args: &[String]) -> ExitCode {
 
 fn cmd_dynamic(args: &[String]) -> ExitCode {
     let Some((entry, files)) = args.split_first() else { return usage() };
-    let modules = match load_modules(files) {
+    let modules = match load_modules(files, 0) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");
@@ -700,7 +699,7 @@ fn cmd_dynamic(args: &[String]) -> ExitCode {
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let Some((entry, files)) = args.split_first() else { return usage() };
-    let modules = match load_modules(files) {
+    let modules = match load_modules(files, 0) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");
@@ -1103,7 +1102,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 
 fn cmd_dsg(args: &[String]) -> ExitCode {
     let Some((func, files)) = args.split_first() else { return usage() };
-    let modules = match load_modules(files) {
+    let modules = match load_modules(files, 0) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");

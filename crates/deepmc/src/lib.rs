@@ -55,12 +55,14 @@ pub use config::DeepMcConfig;
 pub use report::{FixHint, Report, RootFailure, Warning};
 pub use static_checker::StaticChecker;
 
-use deepmc_analysis::Program;
-use deepmc_pir::{parse, ParseError};
+use deepmc_analysis::{pool, Program};
+use deepmc_pir::{parse, Module, ParseError};
 
-/// Errors from the one-call driver APIs.
+/// Errors from the front end and the one-call driver APIs.
 #[derive(Debug)]
 pub enum CheckError {
+    /// An input file could not be read.
+    Read(std::io::Error),
     Parse(ParseError),
     Verify(deepmc_pir::verify::VerifyError),
     Link(deepmc_analysis::program::DuplicateFunction),
@@ -69,6 +71,7 @@ pub enum CheckError {
 impl std::fmt::Display for CheckError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CheckError::Read(e) => write!(f, "{e}"),
             CheckError::Parse(e) => write!(f, "{e}"),
             CheckError::Verify(e) => write!(f, "{e}"),
             CheckError::Link(e) => write!(f, "{e}"),
@@ -78,6 +81,26 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
+/// The front end: read, parse and verify each input as one job of the
+/// worker pool at `jobs` (`0` means `DEEPMC_JOBS`, then all cores), and
+/// return the modules in input order, ready to link. `text` reads one
+/// input. On failure the error is that of the first failing input in input
+/// order, with its index, at any worker count.
+pub fn parse_and_verify<T: Sync, S: AsRef<str>>(
+    inputs: &[T],
+    jobs: usize,
+    text: impl Fn(&T) -> Result<S, CheckError> + Sync,
+) -> Result<Vec<Module>, (usize, CheckError)> {
+    let load = |input: &T| {
+        let module = parse(text(input)?.as_ref()).map_err(CheckError::Parse)?;
+        deepmc_pir::verify::verify_module(&module).map_err(CheckError::Verify)?;
+        Ok(module)
+    };
+    let loaded =
+        pool::run_indexed(pool::resolve_jobs(jobs), inputs.iter().collect(), |_, i| load(i));
+    loaded.into_iter().enumerate().map(|(i, m)| m.map_err(|e| (i, e))).collect()
+}
+
 /// Parse, verify, link, and statically check one PIR source text.
 pub fn check_source(src: &str, config: &DeepMcConfig) -> Result<Report, CheckError> {
     let module = parse(src).map_err(CheckError::Parse)?;
@@ -86,14 +109,10 @@ pub fn check_source(src: &str, config: &DeepMcConfig) -> Result<Report, CheckErr
 }
 
 /// Parse, verify, link, and statically check several PIR sources as one
-/// program.
+/// program. The sources are parsed and verified in the worker pool
+/// ([`parse_and_verify`]) and linked in order.
 pub fn check_sources(srcs: &[&str], config: &DeepMcConfig) -> Result<Report, CheckError> {
-    let mut modules = Vec::with_capacity(srcs.len());
-    for s in srcs {
-        let m = parse(s).map_err(CheckError::Parse)?;
-        deepmc_pir::verify::verify_module(&m).map_err(CheckError::Verify)?;
-        modules.push(m);
-    }
+    let modules = parse_and_verify(srcs, 0, |s| Ok(*s)).map_err(|(_, e)| e)?;
     let program = Program::new(modules).map_err(CheckError::Link)?;
     Ok(StaticChecker::new(config.clone()).check_program(&program))
 }

@@ -340,3 +340,74 @@ fn cache_is_one_pack_file_and_concurrent_checks_agree() {
     assert!(stderr.contains("6 hit(s), 0 miss(es)"), "third run:\n{stderr}");
     assert_eq!(third.stdout, reference.stdout);
 }
+
+/// Module `i` of an eight-file program: an unflushed store in `f{i}`, and
+/// a root that also calls the previous module's root.
+fn chain_module(i: usize) -> String {
+    let call_prev = if i > 0 { format!("  call root{}()\n", i - 1) } else { String::new() };
+    format!(
+        "module m{i}\nfile \"m{i}.c\"\nstruct s{i} {{ a: i64, b: i64 }}\n\
+         fn f{i}(%p: ptr s{i}) {{\nentry:\n  store %p.a, {i}\n  ret\n}}\n\
+         fn root{i}() {{\nentry:\n  %r = palloc s{i}\n  call f{i}(%r)\n  store %r.b, 1\n  \
+         flush %r.b\n  fence\n{call_prev}  ret\n}}\n"
+    )
+}
+
+/// Each input file is parsed and verified as a job of the worker pool, yet
+/// the front end's verdict does not depend on the schedule: with two bad
+/// files late in the argument list, every `--jobs` prints the one line of
+/// the earlier bad file and exits 2, and a clean program prints the same
+/// report at every `--jobs`.
+#[test]
+fn front_end_is_deterministic_across_jobs() {
+    const PARSE_ERROR: &str = "module bad\nfn broken( {\n";
+    const VERIFY_ERROR: &str = "module bad\nfn g() {\nentry:\n  epoch_end\n  ret\n}\n";
+    const PARSE_LINE: &str = "parse error at line 3: expected `%param`, found `{`";
+    const VERIFY_LINE: &str = "verify error in `g` (line 4): epoch_end without epoch_begin";
+    let ctx = Ctx::new("front-end");
+    let write_program = |name: &str, bad: &[(usize, &str)]| -> Vec<PathBuf> {
+        let dir = ctx.dir.join(name);
+        std::fs::create_dir_all(&dir).expect("create program dir");
+        (0..8)
+            .map(|i| {
+                let path = dir.join(format!("m{i}.pir"));
+                let text = bad.iter().find(|(b, _)| *b == i).map(|(_, t)| t.to_string());
+                std::fs::write(&path, text.unwrap_or_else(|| chain_module(i))).expect("write");
+                path
+            })
+            .collect()
+    };
+    let check = |files: &[PathBuf], jobs: &str| {
+        Command::new(BIN)
+            .current_dir(&ctx.dir)
+            .args(["check", "-strict", "--no-cache", "--jobs", jobs])
+            .args(files)
+            .output()
+            .expect("spawn deepmc")
+    };
+
+    for (name, bad, first) in [
+        ("parse-first", [(5, PARSE_ERROR), (7, VERIFY_ERROR)], PARSE_LINE),
+        ("verify-first", [(5, VERIFY_ERROR), (7, PARSE_ERROR)], VERIFY_LINE),
+    ] {
+        let files = write_program(name, &bad);
+        let want = format!("{}: {first}\n", files[5].display());
+        for jobs in ["1", "2", "4"] {
+            let out = check(&files, jobs);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} --jobs {jobs}:\n{stderr}");
+            assert_eq!(stderr, want, "{name} --jobs {jobs}");
+            assert!(out.stdout.is_empty(), "{name} --jobs {jobs} printed a report");
+        }
+    }
+
+    let files = write_program("clean", &[]);
+    let reference = check(&files, "1");
+    assert_eq!(reference.status.code(), Some(1), "the program has warnings");
+    assert!(!reference.stdout.is_empty());
+    for jobs in ["2", "4"] {
+        let out = check(&files, jobs);
+        assert_eq!(out.status.code(), reference.status.code(), "--jobs {jobs}");
+        assert_eq!(out.stdout, reference.stdout, "--jobs {jobs} printed another report");
+    }
+}

@@ -1,4 +1,4 @@
-//! Textual PIR parser: hand-written lexer + recursive descent.
+//! Textual PIR parser: a byte-scanning lexer + recursive descent.
 //!
 //! See the crate docs for the surface syntax. Noteworthy pieces:
 //!
@@ -9,12 +9,20 @@
 //!   directive an instruction reports its own line in the `.pir` text.
 //! * `extern fn` declares a body-less function (an annotated persistent
 //!   wrapper or out-of-module callee).
+//!
+//! Parsing runs in three passes over borrowed text. The lexer scans the
+//! bytes into `Copy` tokens whose names are slices of the source, so a
+//! lexical error anywhere beats a syntax error earlier in the text.
+//! Recursive descent builds a raw AST that borrows those slices, so every
+//! syntax error beats a name-resolution error. The resolver then lowers
+//! the raw AST to a [`Module`], allocating only the names the module keeps.
 
 use crate::inst::{BinOp, Inst, Operand, Place, Terminator};
 use crate::intern::SymbolTable;
 use crate::loc::SourceLoc;
-use crate::module::{FuncAttr, Function, LocalDecl, LocalId, Module, Spanned};
+use crate::module::{BlockId, FuncAttr, Function, LocalDecl, LocalId, Module, Spanned};
 use crate::types::{FieldDef, StructDef, StructId, Ty};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -35,12 +43,18 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Local(String),
-    Int(i64),
-    Str(String),
+fn fail<T>(line: u32, msg: impl Into<String>) -> PResult<T> {
+    Err(ParseError { line, msg: msg.into() })
+}
+
+/// A token; names and strings borrow the source text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Local(&'a str),
+    /// A literal's magnitude: at most `i64::MAX`, or 2^63 right after `-`.
+    Int(u64),
+    Str(&'a str),
     LBrace,
     RBrace,
     LParen,
@@ -57,7 +71,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -82,171 +96,207 @@ impl fmt::Display for Tok {
     }
 }
 
-struct Lexer {
-    toks: Vec<(Tok, u32)>,
-    pos: usize,
-}
-
-fn lex(src: &str) -> PResult<Vec<(Tok, u32)>> {
-    let mut toks = Vec::new();
-    let mut line: u32 = 1;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    while let Some(&c2) = chars.peek() {
-                        if c2 == '\n' {
-                            break;
-                        }
-                        chars.next();
-                    }
-                } else {
-                    return Err(ParseError { line, msg: "stray `/` (use `//` comments)".into() });
-                }
-            }
-            '{' => {
-                toks.push((Tok::LBrace, line));
-                chars.next();
-            }
-            '}' => {
-                toks.push((Tok::RBrace, line));
-                chars.next();
-            }
-            '(' => {
-                toks.push((Tok::LParen, line));
-                chars.next();
-            }
-            ')' => {
-                toks.push((Tok::RParen, line));
-                chars.next();
-            }
-            '[' => {
-                toks.push((Tok::LBracket, line));
-                chars.next();
-            }
-            ']' => {
-                toks.push((Tok::RBracket, line));
-                chars.next();
-            }
-            ',' => {
-                toks.push((Tok::Comma, line));
-                chars.next();
-            }
-            ':' => {
-                toks.push((Tok::Colon, line));
-                chars.next();
-            }
-            ';' => {
-                toks.push((Tok::Semi, line));
-                chars.next();
-            }
-            '.' => {
-                toks.push((Tok::Dot, line));
-                chars.next();
-            }
-            '=' => {
-                toks.push((Tok::Assign, line));
-                chars.next();
-            }
-            '-' => {
-                chars.next();
-                if chars.peek() == Some(&'>') {
-                    chars.next();
-                    toks.push((Tok::Arrow, line));
-                } else {
-                    toks.push((Tok::Minus, line));
-                }
-            }
-            '%' => {
-                chars.next();
-                let mut s = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_alphanumeric() || c2 == '_' {
-                        s.push(c2);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if s.is_empty() {
-                    return Err(ParseError { line, msg: "`%` must be followed by a name".into() });
-                }
-                toks.push((Tok::Local(s), line));
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\n') | None => {
-                            return Err(ParseError { line, msg: "unterminated string".into() })
-                        }
-                        Some(c2) => s.push(c2),
-                    }
-                }
-                toks.push((Tok::Str(s), line));
-            }
-            c if c.is_ascii_digit() => {
-                let mut n: i64 = 0;
-                while let Some(&c2) = chars.peek() {
-                    if let Some(d) = c2.to_digit(10) {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|v| v.checked_add(d as i64))
-                            .ok_or_else(|| ParseError { line, msg: "integer overflow".into() })?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Int(n), line));
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_alphanumeric() || c2 == '_' {
-                        s.push(c2);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Ident(s), line));
-            }
-            other => {
-                return Err(ParseError { line, msg: format!("unexpected character `{other}`") })
+/// The end of the name continuing at byte `i`: `_` and alphanumeric chars.
+fn name_end(src: &str, mut i: usize) -> usize {
+    let bytes = src.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii_alphanumeric() || b == b'_' {
+            i += 1;
+        } else if b.is_ascii() {
+            break;
+        } else {
+            match src[i..].chars().next() {
+                Some(c) if c.is_alphanumeric() => i += c.len_utf8(),
+                _ => break,
             }
         }
+    }
+    i
+}
+
+/// Scan the whole text into tokens tagged with their lines, ending in `Eof`.
+fn lex(src: &str) -> PResult<Vec<(Tok<'_>, u32)>> {
+    let bytes = src.as_bytes();
+    let mut toks = Vec::with_capacity(src.len() / 4);
+    let mut line = 1;
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let start = i;
+        i += 1;
+        let tok = match b {
+            b'\n' => {
+                line += 1;
+                continue;
+            }
+            b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c' => continue,
+            b'/' if bytes.get(i) == Some(&b'/') => {
+                i = bytes[i..].iter().position(|&c| c == b'\n').map_or(bytes.len(), |n| i + n);
+                continue;
+            }
+            b'/' => return fail(line, "stray `/` (use `//` comments)"),
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'[' => Tok::LBracket,
+            b']' => Tok::RBracket,
+            b',' => Tok::Comma,
+            b':' => Tok::Colon,
+            b';' => Tok::Semi,
+            b'.' => Tok::Dot,
+            b'=' => Tok::Assign,
+            b'-' if bytes.get(i) == Some(&b'>') => {
+                i += 1;
+                Tok::Arrow
+            }
+            b'-' => Tok::Minus,
+            b'%' => {
+                i = name_end(src, i);
+                if i == start + 1 {
+                    return fail(line, "`%` must be followed by a name");
+                }
+                Tok::Local(&src[start + 1..i])
+            }
+            b'"' => match bytes[i..].iter().position(|&c| c == b'"' || c == b'\n') {
+                Some(n) if bytes[i + n] == b'"' => {
+                    i += n + 1;
+                    Tok::Str(&src[start + 1..i - 1])
+                }
+                _ => return fail(line, "unterminated string"),
+            },
+            b'0'..=b'9' => {
+                // Only `i64::MIN` may go past `i64::MAX`, and only negated.
+                let max = match toks.last() {
+                    Some((Tok::Minus, _)) => i64::MIN.unsigned_abs(),
+                    _ => i64::MAX.unsigned_abs(),
+                };
+                let mut n = u64::from(b - b'0');
+                while let Some(d @ b'0'..=b'9') = bytes.get(i).copied() {
+                    n = n
+                        .checked_mul(10)
+                        .and_then(|n| n.checked_add(u64::from(d - b'0')))
+                        .filter(|&n| n <= max)
+                        .ok_or_else(|| ParseError { line, msg: "integer overflow".into() })?;
+                    i += 1;
+                }
+                Tok::Int(n)
+            }
+            b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
+                i = name_end(src, i);
+                Tok::Ident(&src[start..i])
+            }
+            _ => {
+                // Past ASCII, whitespace and letters are Unicode's.
+                let c = src[start..].chars().next().expect("a char starts at every scan position");
+                i = start + c.len_utf8();
+                if c.is_whitespace() {
+                    continue;
+                }
+                if !c.is_alphabetic() {
+                    return fail(line, format!("unexpected character `{c}`"));
+                }
+                i = name_end(src, i);
+                Tok::Ident(&src[start..i])
+            }
+        };
+        toks.push((tok, line));
     }
     toks.push((Tok::Eof, line));
     Ok(toks)
 }
 
-impl Lexer {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+/// Unresolved place: names instead of ids.
+struct RawPlace<'a> {
+    base: &'a str,
+    field: Option<&'a str>,
+    index: Option<RawOperand<'a>>,
+    line: u32,
+}
+
+#[derive(Clone, Copy)]
+enum RawOperand<'a> {
+    Const(i64),
+    Local(&'a str),
+    Null,
+}
+
+/// An unresolved instruction; `Plain` holds one without operands, final as
+/// parsed.
+enum RawInst<'a> {
+    Plain(Inst),
+    PAlloc { dst: &'a str, ty: &'a str },
+    VAlloc { dst: &'a str, ty: &'a str },
+    Store { place: RawPlace<'a>, value: RawOperand<'a> },
+    Load { dst: &'a str, place: RawPlace<'a> },
+    Bin { dst: &'a str, op: BinOp, lhs: RawOperand<'a>, rhs: RawOperand<'a> },
+    Mov { dst: &'a str, src: RawOperand<'a> },
+    Flush(RawPlace<'a>),
+    Persist(RawPlace<'a>),
+    MemSetPersist { place: RawPlace<'a>, value: RawOperand<'a> },
+    TxAdd(RawPlace<'a>),
+    Call { dst: Option<&'a str>, func: &'a str, args: Vec<RawOperand<'a>>, ty: Option<RawTy<'a>> },
+}
+
+enum RawTerm<'a> {
+    Ret(Option<RawOperand<'a>>),
+    Br { cond: RawOperand<'a>, then_bb: &'a str, else_bb: &'a str },
+    Jmp(&'a str),
+}
+
+#[derive(Clone, Copy)]
+enum RawTy<'a> {
+    I64,
+    Ptr(&'a str),
+    Array(u32),
+}
+
+struct RawBlock<'a> {
+    label: &'a str,
+    insts: Vec<(RawInst<'a>, SourceLoc)>,
+    term: RawTerm<'a>,
+    term_loc: SourceLoc,
+    /// The terminator's line in the text, which its errors report.
+    term_line: u32,
+}
+
+struct RawFunction<'a> {
+    name: &'a str,
+    params: Vec<(&'a str, RawTy<'a>)>,
+    ret_ty: Option<RawTy<'a>>,
+    attrs: Vec<FuncAttr>,
+    /// Empty exactly for an `extern fn`.
+    blocks: Vec<RawBlock<'a>>,
+    line: u32,
+}
+
+struct RawStruct<'a> {
+    name: &'a str,
+    fields: Vec<(&'a str, RawTy<'a>)>,
+}
+
+/// Recursive descent over the token list; `pos` never passes the `Eof`.
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
+    pos: usize,
+    /// The line `loc N` set for the next instruction (auto-incrementing).
+    pending_loc: Option<u64>,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].0
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].0
+    fn peek2(&self) -> Tok<'a> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)].0
     }
 
     fn line(&self) -> u32 {
         self.toks[self.pos].1
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn next(&mut self) -> Tok<'a> {
+        let t = self.peek();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -254,874 +304,627 @@ impl Lexer {
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
-        Err(ParseError { line: self.line(), msg: msg.into() })
+        fail(self.line(), msg)
     }
 
-    fn expect(&mut self, t: Tok) -> PResult<()> {
-        if *self.peek() == t {
+    fn eat(&mut self, t: Tok<'_>) -> bool {
+        let hit = self.peek() == t;
+        if hit {
             self.next();
-            Ok(())
-        } else {
-            let found = self.peek().clone();
-            self.err(format!("expected {t}, found {found}"))
         }
-    }
-
-    fn expect_ident(&mut self) -> PResult<String> {
-        match self.next() {
-            Tok::Ident(s) => Ok(s),
-            other => Err(ParseError {
-                line: self.toks[self.pos.saturating_sub(1)].1,
-                msg: format!("expected identifier, found {other}"),
-            }),
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> PResult<()> {
-        match self.peek() {
-            Tok::Ident(s) if s == kw => {
-                self.next();
-                Ok(())
-            }
-            other => {
-                let found = other.clone();
-                self.err(format!("expected `{kw}`, found {found}"))
-            }
-        }
+        hit
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
-            self.next();
-            true
-        } else {
-            false
+        self.eat(Tok::Ident(kw))
+    }
+
+    fn expect(&mut self, t: Tok<'_>) -> PResult<()> {
+        if self.eat(t) {
+            return Ok(());
+        }
+        let found = self.peek();
+        self.err(format!("expected {t}, found {found}"))
+    }
+
+    fn expect_kw(&mut self, kw: &str) -> PResult<()> {
+        if self.eat_kw(kw) {
+            return Ok(());
+        }
+        let found = self.peek();
+        self.err(format!("expected `{kw}`, found {found}"))
+    }
+
+    fn expect_ident(&mut self) -> PResult<&'a str> {
+        match self.next() {
+            Tok::Ident(s) => Ok(s),
+            // The line of the token just read; at the end of input, `next`
+            // stays put and this is the last real token's line.
+            other => fail(
+                self.toks[self.pos.saturating_sub(1)].1,
+                format!("expected identifier, found {other}"),
+            ),
         }
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == t {
-            self.next();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Unresolved place: names instead of ids.
-#[derive(Debug, Clone)]
-struct RawPlace {
-    base: String,
-    field: Option<String>,
-    index: Option<RawOperand>,
-    line: u32,
-}
-
-#[derive(Debug, Clone)]
-enum RawOperand {
-    Const(i64),
-    Local(String),
-    Null,
-}
-
-#[derive(Debug, Clone)]
-enum RawInst {
-    PAlloc { dst: String, ty: String },
-    VAlloc { dst: String, ty: String },
-    Store { place: RawPlace, value: RawOperand },
-    Load { dst: String, place: RawPlace },
-    Bin { dst: String, op: BinOp, lhs: RawOperand, rhs: RawOperand },
-    Mov { dst: String, src: RawOperand },
-    Flush { place: RawPlace },
-    Fence,
-    Persist { place: RawPlace },
-    MemSetPersist { place: RawPlace, value: RawOperand },
-    TxBegin,
-    TxAdd { place: RawPlace },
-    TxCommit,
-    TxAbort,
-    EpochBegin,
-    EpochEnd,
-    StrandBegin,
-    StrandEnd,
-    Call { dst: Option<String>, callee: String, args: Vec<RawOperand>, ty: Option<RawTy> },
-}
-
-#[derive(Debug, Clone)]
-enum RawTerm {
-    Ret { value: Option<RawOperand> },
-    Br { cond: RawOperand, then_bb: String, else_bb: String },
-    Jmp { bb: String },
-}
-
-#[derive(Debug, Clone)]
-enum RawTy {
-    I64,
-    Ptr(String),
-    Array(u32),
-}
-
-struct RawBlock {
-    label: String,
-    insts: Vec<(RawInst, SourceLoc)>,
-    term: (RawTerm, SourceLoc),
-    term_line: u32,
-}
-
-struct RawFunction {
-    name: String,
-    params: Vec<(String, RawTy)>,
-    ret_ty: Option<RawTy>,
-    attrs: Vec<FuncAttr>,
-    blocks: Vec<RawBlock>,
-    is_extern: bool,
-    line: u32,
-}
-
-const TERM_KWS: [&str; 3] = ["ret", "br", "jmp"];
-
-fn binop_from_mnemonic(s: &str) -> Option<BinOp> {
-    BinOp::ALL.iter().copied().find(|op| op.mnemonic() == s)
-}
-
-struct Parser {
-    lx: Lexer,
-    /// Line override from the `loc N` directive (auto-incrementing).
-    pending_loc: Option<u32>,
-}
-
-impl Parser {
-    fn inst_loc(&mut self, actual_line: u32) -> SourceLoc {
-        match self.pending_loc {
-            Some(n) => {
-                self.pending_loc = Some(n + 1);
-                SourceLoc::new(n)
-            }
-            None => SourceLoc::new(actual_line),
+    /// The location of an instruction on `line`: the pending `loc` line,
+    /// which then counts on by one, or else `line` itself.
+    fn inst_loc(&mut self, line: u32) -> PResult<SourceLoc> {
+        let Some(n) = self.pending_loc else { return Ok(SourceLoc::new(line)) };
+        self.pending_loc = Some(n + 1);
+        match u32::try_from(n) {
+            Ok(n) => Ok(SourceLoc::new(n)),
+            Err(_) => fail(line, format!("line number {n} counted on from `loc` out of range")),
         }
     }
 
-    fn parse_ty(&mut self) -> PResult<RawTy> {
-        if self.lx.eat(&Tok::LBracket) {
-            self.lx.expect_kw("i64")?;
-            self.lx.expect(Tok::Semi)?;
-            let n = match self.lx.next() {
-                Tok::Int(n) if n >= 0 => n as u32,
-                _ => return self.lx.err("expected array length"),
+    fn parse_ty(&mut self) -> PResult<RawTy<'a>> {
+        if self.eat(Tok::LBracket) {
+            self.expect_kw("i64")?;
+            self.expect(Tok::Semi)?;
+            let Tok::Int(n) = self.next() else { return self.err("expected array length") };
+            let Ok(n) = u32::try_from(n) else {
+                return self.err(format!("array length {n} out of range"));
             };
-            self.lx.expect(Tok::RBracket)?;
+            self.expect(Tok::RBracket)?;
             return Ok(RawTy::Array(n));
         }
-        let name = self.lx.expect_ident()?;
-        match name.as_str() {
+        match self.expect_ident()? {
             "i64" => Ok(RawTy::I64),
-            "ptr" => {
-                let s = self.lx.expect_ident()?;
-                Ok(RawTy::Ptr(s))
-            }
-            other => Err(ParseError {
-                line: self.lx.line(),
-                msg: format!("unknown type `{other}` (expected i64, ptr <struct>, or [i64; N])"),
-            }),
+            "ptr" => Ok(RawTy::Ptr(self.expect_ident()?)),
+            other => self
+                .err(format!("unknown type `{other}` (expected i64, ptr <struct>, or [i64; N])")),
         }
     }
 
-    fn parse_operand(&mut self) -> PResult<RawOperand> {
-        match self.lx.peek().clone() {
-            Tok::Int(n) => {
-                self.lx.next();
-                Ok(RawOperand::Const(n))
-            }
-            Tok::Minus => {
-                self.lx.next();
-                match self.lx.next() {
-                    Tok::Int(n) => Ok(RawOperand::Const(-n)),
-                    _ => self.lx.err("expected integer after `-`"),
-                }
+    fn parse_operand(&mut self) -> PResult<RawOperand<'a>> {
+        match self.peek() {
+            Tok::Int(_) | Tok::Minus => {
+                let negative = self.eat(Tok::Minus);
+                let Tok::Int(n) = self.next() else {
+                    return self.err("expected integer after `-`");
+                };
+                let value =
+                    if negative { 0i64.checked_sub_unsigned(n) } else { i64::try_from(n).ok() };
+                value
+                    .map(RawOperand::Const)
+                    .ok_or_else(|| ParseError { line: self.line(), msg: "integer overflow".into() })
             }
             Tok::Local(name) => {
-                self.lx.next();
+                self.next();
                 Ok(RawOperand::Local(name))
             }
-            Tok::Ident(s) if s == "null" => {
-                self.lx.next();
+            Tok::Ident("null") => {
+                self.next();
                 Ok(RawOperand::Null)
             }
-            other => self.lx.err(format!("expected operand, found {other}")),
+            other => self.err(format!("expected operand, found {other}")),
         }
     }
 
-    fn parse_place(&mut self) -> PResult<RawPlace> {
-        let line = self.lx.line();
-        let base = match self.lx.next() {
+    fn parse_place(&mut self) -> PResult<RawPlace<'a>> {
+        let line = self.line();
+        let base = match self.next() {
             Tok::Local(s) => s,
-            other => {
-                return Err(ParseError { line, msg: format!("expected place, found {other}") })
-            }
+            other => return fail(line, format!("expected place, found {other}")),
         };
-        let mut field = None;
-        let mut index = None;
-        if self.lx.eat(&Tok::Dot) {
-            field = Some(self.lx.expect_ident()?);
-            if self.lx.eat(&Tok::LBracket) {
-                index = Some(self.parse_operand()?);
-                self.lx.expect(Tok::RBracket)?;
+        let mut place = RawPlace { base, field: None, index: None, line };
+        if self.eat(Tok::Dot) {
+            place.field = Some(self.expect_ident()?);
+            if self.eat(Tok::LBracket) {
+                place.index = Some(self.parse_operand()?);
+                self.expect(Tok::RBracket)?;
             }
         }
-        Ok(RawPlace { base, field, index, line })
+        Ok(place)
     }
 
-    fn parse_call_tail(&mut self, dst: Option<String>) -> PResult<RawInst> {
-        let callee = self.lx.expect_ident()?;
-        self.lx.expect(Tok::LParen)?;
+    /// `place, operand`, as `store` and `memset_persist` take them.
+    fn parse_place_value(&mut self) -> PResult<(RawPlace<'a>, RawOperand<'a>)> {
+        let place = self.parse_place()?;
+        self.expect(Tok::Comma)?;
+        Ok((place, self.parse_operand()?))
+    }
+
+    fn parse_call_tail(&mut self, dst: Option<&'a str>) -> PResult<RawInst<'a>> {
+        let callee = self.expect_ident()?;
+        self.expect(Tok::LParen)?;
         let mut args = Vec::new();
-        if !self.lx.eat(&Tok::RParen) {
+        if !self.eat(Tok::RParen) {
             loop {
                 args.push(self.parse_operand()?);
-                if self.lx.eat(&Tok::RParen) {
+                if self.eat(Tok::RParen) {
                     break;
                 }
-                self.lx.expect(Tok::Comma)?;
+                self.expect(Tok::Comma)?;
             }
         }
-        let ty = if self.lx.eat(&Tok::Colon) { Some(self.parse_ty()?) } else { None };
-        Ok(RawInst::Call { dst, callee, args, ty })
+        let ty = if self.eat(Tok::Colon) { Some(self.parse_ty()?) } else { None };
+        Ok(RawInst::Call { dst, func: callee, args, ty })
     }
 
     /// Parse one statement. Returns `Ok(None)` for directives that produce
     /// no instruction (`loc N`).
-    fn parse_stmt(&mut self) -> PResult<Option<(RawInst, SourceLoc)>> {
-        let line = self.lx.line();
-        match self.lx.peek().clone() {
-            Tok::Ident(kw) if kw == "loc" => {
-                self.lx.next();
-                match self.lx.next() {
-                    Tok::Int(n) if n >= 0 => {
-                        self.pending_loc = Some(n as u32);
-                        Ok(None)
-                    }
-                    _ => self.lx.err("expected line number after `loc`"),
+    fn parse_stmt(&mut self) -> PResult<Option<(RawInst<'a>, SourceLoc)>> {
+        let line = self.line();
+        let inst = match self.peek() {
+            Tok::Ident("loc") => {
+                self.next();
+                let Tok::Int(n) = self.next() else {
+                    return self.err("expected line number after `loc`");
+                };
+                if u32::try_from(n).is_err() {
+                    return self.err(format!("line number {n} after `loc` out of range"));
                 }
+                self.pending_loc = Some(n);
+                return Ok(None);
             }
             Tok::Local(dst) => {
-                self.lx.next();
-                self.lx.expect(Tok::Assign)?;
-                let kw = self.lx.expect_ident()?;
-                let inst = match kw.as_str() {
-                    "palloc" => RawInst::PAlloc { dst, ty: self.lx.expect_ident()? },
-                    "valloc" => RawInst::VAlloc { dst, ty: self.lx.expect_ident()? },
+                self.next();
+                self.expect(Tok::Assign)?;
+                match self.expect_ident()? {
+                    "palloc" => RawInst::PAlloc { dst, ty: self.expect_ident()? },
+                    "valloc" => RawInst::VAlloc { dst, ty: self.expect_ident()? },
                     "load" => RawInst::Load { dst, place: self.parse_place()? },
                     "mov" => RawInst::Mov { dst, src: self.parse_operand()? },
                     "call" => self.parse_call_tail(Some(dst))?,
-                    other => match binop_from_mnemonic(other) {
+                    other => match BinOp::ALL.into_iter().find(|op| op.mnemonic() == other) {
                         Some(op) => {
                             let lhs = self.parse_operand()?;
-                            self.lx.expect(Tok::Comma)?;
-                            let rhs = self.parse_operand()?;
-                            RawInst::Bin { dst, op, lhs, rhs }
+                            self.expect(Tok::Comma)?;
+                            RawInst::Bin { dst, op, lhs, rhs: self.parse_operand()? }
                         }
-                        None => {
-                            return self.lx.err(format!("unknown instruction `{other}`"));
-                        }
+                        None => return self.err(format!("unknown instruction `{other}`")),
                     },
-                };
-                let loc = self.inst_loc(line);
-                Ok(Some((inst, loc)))
+                }
             }
             Tok::Ident(kw) => {
-                self.lx.next();
-                let inst = match kw.as_str() {
+                self.next();
+                match kw {
                     "store" => {
-                        let place = self.parse_place()?;
-                        self.lx.expect(Tok::Comma)?;
-                        let value = self.parse_operand()?;
+                        let (place, value) = self.parse_place_value()?;
                         RawInst::Store { place, value }
                     }
-                    "flush" => RawInst::Flush { place: self.parse_place()? },
-                    "fence" => RawInst::Fence,
-                    "persist" => RawInst::Persist { place: self.parse_place()? },
                     "memset_persist" => {
-                        let place = self.parse_place()?;
-                        self.lx.expect(Tok::Comma)?;
-                        let value = self.parse_operand()?;
+                        let (place, value) = self.parse_place_value()?;
                         RawInst::MemSetPersist { place, value }
                     }
-                    "tx_begin" => RawInst::TxBegin,
-                    "tx_add" => RawInst::TxAdd { place: self.parse_place()? },
-                    "tx_commit" => RawInst::TxCommit,
-                    "tx_abort" => RawInst::TxAbort,
-                    "epoch_begin" => RawInst::EpochBegin,
-                    "epoch_end" => RawInst::EpochEnd,
-                    "strand_begin" => RawInst::StrandBegin,
-                    "strand_end" => RawInst::StrandEnd,
+                    "flush" => RawInst::Flush(self.parse_place()?),
+                    "persist" => RawInst::Persist(self.parse_place()?),
+                    "tx_add" => RawInst::TxAdd(self.parse_place()?),
+                    "fence" => RawInst::Plain(Inst::Fence),
+                    "tx_begin" => RawInst::Plain(Inst::TxBegin),
+                    "tx_commit" => RawInst::Plain(Inst::TxCommit),
+                    "tx_abort" => RawInst::Plain(Inst::TxAbort),
+                    "epoch_begin" => RawInst::Plain(Inst::EpochBegin),
+                    "epoch_end" => RawInst::Plain(Inst::EpochEnd),
+                    "strand_begin" => RawInst::Plain(Inst::StrandBegin),
+                    "strand_end" => RawInst::Plain(Inst::StrandEnd),
                     "call" => self.parse_call_tail(None)?,
-                    other => return self.lx.err(format!("unknown statement `{other}`")),
-                };
-                let loc = self.inst_loc(line);
-                Ok(Some((inst, loc)))
+                    other => return self.err(format!("unknown statement `{other}`")),
+                }
             }
-            other => self.lx.err(format!("expected statement, found {other}")),
-        }
-    }
-
-    fn parse_terminator(&mut self) -> PResult<(RawTerm, SourceLoc)> {
-        let line = self.lx.line();
-        let kw = self.lx.expect_ident()?;
-        let term = match kw.as_str() {
-            "ret" => {
-                // `ret` with no value if the next token starts a label/`}`.
-                let has_value = matches!(self.lx.peek(), Tok::Int(_) | Tok::Minus | Tok::Local(_))
-                    || matches!(self.lx.peek(), Tok::Ident(s) if s == "null");
-                let value = if has_value { Some(self.parse_operand()?) } else { None };
-                RawTerm::Ret { value }
-            }
-            "br" => {
-                let cond = self.parse_operand()?;
-                self.lx.expect(Tok::Comma)?;
-                let then_bb = self.lx.expect_ident()?;
-                self.lx.expect(Tok::Comma)?;
-                let else_bb = self.lx.expect_ident()?;
-                RawTerm::Br { cond, then_bb, else_bb }
-            }
-            "jmp" => RawTerm::Jmp { bb: self.lx.expect_ident()? },
-            other => return self.lx.err(format!("expected terminator, found `{other}`")),
+            other => return self.err(format!("expected statement, found {other}")),
         };
-        let loc = self.inst_loc(line);
-        Ok((term, loc))
+        Ok(Some((inst, self.inst_loc(line)?)))
     }
 
-    fn parse_block(&mut self) -> PResult<RawBlock> {
-        let label = self.lx.expect_ident()?;
-        self.lx.expect(Tok::Colon)?;
+    fn parse_block(&mut self) -> PResult<RawBlock<'a>> {
+        let label = self.expect_ident()?;
+        self.expect(Tok::Colon)?;
         let mut insts = Vec::new();
         loop {
-            // Terminator?
-            if let Tok::Ident(kw) = self.lx.peek() {
-                if TERM_KWS.contains(&kw.as_str()) {
-                    let term_line = self.lx.line();
-                    let term = self.parse_terminator()?;
-                    return Ok(RawBlock { label, insts, term, term_line });
+            let line = self.line();
+            let term = match (self.peek(), self.peek2()) {
+                (Tok::Ident("ret"), _) => {
+                    self.next();
+                    // `ret` has no value if the next token starts a label or `}`.
+                    let value = matches!(
+                        self.peek(),
+                        Tok::Int(_) | Tok::Minus | Tok::Local(_) | Tok::Ident("null")
+                    );
+                    RawTerm::Ret(if value { Some(self.parse_operand()?) } else { None })
                 }
-            }
-            // A label (`ident :`) or `}` before a terminator is an error.
-            match (self.lx.peek(), self.lx.peek2()) {
-                (Tok::RBrace, _) | (Tok::Ident(_), Tok::Colon) if !matches!(self.lx.peek(), Tok::Ident(s) if s == "loc") =>
+                (Tok::Ident("br"), _) => {
+                    self.next();
+                    let cond = self.parse_operand()?;
+                    self.expect(Tok::Comma)?;
+                    let then_bb = self.expect_ident()?;
+                    self.expect(Tok::Comma)?;
+                    RawTerm::Br { cond, then_bb, else_bb: self.expect_ident()? }
+                }
+                (Tok::Ident("jmp"), _) => {
+                    self.next();
+                    RawTerm::Jmp(self.expect_ident()?)
+                }
+                // A label (`ident :`) or `}` before a terminator is an error.
+                (Tok::RBrace, _) | (Tok::Ident(_), Tok::Colon)
+                    if self.peek() != Tok::Ident("loc") =>
                 {
-                    return self.lx.err(format!("block `{label}` has no terminator (ret/br/jmp)"));
+                    return self.err(format!("block `{label}` has no terminator (ret/br/jmp)"));
                 }
-                _ => {}
-            }
-            if let Some(inst) = self.parse_stmt()? {
-                insts.push(inst);
-            }
+                _ => {
+                    insts.extend(self.parse_stmt()?);
+                    continue;
+                }
+            };
+            let term_loc = self.inst_loc(line)?;
+            return Ok(RawBlock { label, insts, term, term_loc, term_line: line });
         }
     }
 
     fn parse_attrs(&mut self) -> PResult<Vec<FuncAttr>> {
         let mut attrs = Vec::new();
-        if self.lx.eat_kw("attrs") {
-            self.lx.expect(Tok::LParen)?;
+        if self.eat_kw("attrs") {
+            self.expect(Tok::LParen)?;
             loop {
-                let name = self.lx.expect_ident()?;
-                match name.as_str() {
-                    "tx_context" => attrs.push(FuncAttr::TxContext),
-                    "persist_wrapper" => attrs.push(FuncAttr::PersistWrapper),
-                    "model_strict" => attrs.push(FuncAttr::ModelStrict),
-                    "model_epoch" => attrs.push(FuncAttr::ModelEpoch),
-                    "model_strand" => attrs.push(FuncAttr::ModelStrand),
-                    other => return self.lx.err(format!("unknown attribute `{other}`")),
-                }
-                if self.lx.eat(&Tok::RParen) {
+                attrs.push(match self.expect_ident()? {
+                    "tx_context" => FuncAttr::TxContext,
+                    "persist_wrapper" => FuncAttr::PersistWrapper,
+                    "model_strict" => FuncAttr::ModelStrict,
+                    "model_epoch" => FuncAttr::ModelEpoch,
+                    "model_strand" => FuncAttr::ModelStrand,
+                    other => return self.err(format!("unknown attribute `{other}`")),
+                });
+                if self.eat(Tok::RParen) {
                     break;
                 }
-                self.lx.expect(Tok::Comma)?;
+                self.expect(Tok::Comma)?;
             }
         }
         Ok(attrs)
     }
 
-    fn parse_function(&mut self, is_extern: bool) -> PResult<RawFunction> {
-        let line = self.lx.line();
-        self.lx.expect_kw("fn")?;
-        let name = self.lx.expect_ident()?;
-        self.lx.expect(Tok::LParen)?;
+    fn parse_function(&mut self, is_extern: bool) -> PResult<RawFunction<'a>> {
+        let line = self.line();
+        self.expect_kw("fn")?;
+        let name = self.expect_ident()?;
+        self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if !self.lx.eat(&Tok::RParen) {
+        if !self.eat(Tok::RParen) {
             loop {
-                let pname = match self.lx.next() {
+                let pname = match self.next() {
                     Tok::Local(s) => s,
-                    other => {
-                        return self.lx.err(format!("expected `%param`, found {other}"));
-                    }
+                    other => return self.err(format!("expected `%param`, found {other}")),
                 };
-                self.lx.expect(Tok::Colon)?;
-                let ty = self.parse_ty()?;
-                params.push((pname, ty));
-                if self.lx.eat(&Tok::RParen) {
+                self.expect(Tok::Colon)?;
+                params.push((pname, self.parse_ty()?));
+                if self.eat(Tok::RParen) {
                     break;
                 }
-                self.lx.expect(Tok::Comma)?;
+                self.expect(Tok::Comma)?;
             }
         }
-        let ret_ty = if self.lx.eat(&Tok::Arrow) { Some(self.parse_ty()?) } else { None };
+        let ret_ty = if self.eat(Tok::Arrow) { Some(self.parse_ty()?) } else { None };
         let attrs = self.parse_attrs()?;
         let mut blocks = Vec::new();
         if !is_extern {
             self.pending_loc = None;
-            self.lx.expect(Tok::LBrace)?;
-            while !self.lx.eat(&Tok::RBrace) {
+            self.expect(Tok::LBrace)?;
+            while !self.eat(Tok::RBrace) {
                 blocks.push(self.parse_block()?);
             }
             if blocks.is_empty() {
-                return self.lx.err(format!("function `{name}` has no blocks"));
+                return self.err(format!("function `{name}` has no blocks"));
             }
         }
-        Ok(RawFunction { name, params, ret_ty, attrs, blocks, is_extern, line })
+        Ok(RawFunction { name, params, ret_ty, attrs, blocks, line })
     }
 
-    fn parse_struct(&mut self) -> PResult<StructDefRaw> {
-        let name = self.lx.expect_ident()?;
-        self.lx.expect(Tok::LBrace)?;
+    fn parse_struct(&mut self) -> PResult<RawStruct<'a>> {
+        let name = self.expect_ident()?;
+        self.expect(Tok::LBrace)?;
         let mut fields = Vec::new();
-        while !self.lx.eat(&Tok::RBrace) {
-            let fname = self.lx.expect_ident()?;
-            self.lx.expect(Tok::Colon)?;
-            let ty = self.parse_ty()?;
-            fields.push((fname, ty));
-            if !self.lx.eat(&Tok::Comma) {
-                self.lx.expect(Tok::RBrace)?;
+        while !self.eat(Tok::RBrace) {
+            let fname = self.expect_ident()?;
+            self.expect(Tok::Colon)?;
+            fields.push((fname, self.parse_ty()?));
+            if !self.eat(Tok::Comma) {
+                self.expect(Tok::RBrace)?;
                 break;
             }
         }
-        Ok(StructDefRaw { name, fields })
+        Ok(RawStruct { name, fields })
     }
-}
-
-struct StructDefRaw {
-    name: String,
-    fields: Vec<(String, RawTy)>,
 }
 
 /// Parse a PIR module from text.
 pub fn parse(src: &str) -> Result<Module, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { lx: Lexer { toks, pos: 0 }, pending_loc: None };
-
-    p.lx.expect_kw("module")?;
-    let mod_name = p.lx.expect_ident()?;
-    let file = if p.lx.eat_kw("file") {
-        match p.lx.next() {
-            Tok::Str(s) => s,
-            other => return p.lx.err(format!("expected file string, found {other}")),
+    let mut p = Parser { toks: lex(src)?, pos: 0, pending_loc: None };
+    p.expect_kw("module")?;
+    let name = p.expect_ident()?;
+    let file = if p.eat_kw("file") {
+        match p.next() {
+            Tok::Str(s) => s.to_string(),
+            other => return p.err(format!("expected file string, found {other}")),
         }
     } else {
-        format!("{mod_name}.c")
+        format!("{name}.c")
     };
-
-    let mut raw_structs = Vec::new();
-    let mut raw_funcs = Vec::new();
+    let (mut structs, mut funcs) = (Vec::new(), Vec::new());
     loop {
-        match p.lx.peek().clone() {
+        match p.peek() {
             Tok::Eof => break,
-            Tok::Ident(kw) if kw == "struct" => {
-                p.lx.next();
-                raw_structs.push(p.parse_struct()?);
+            Tok::Ident("struct") => {
+                p.next();
+                structs.push(p.parse_struct()?);
             }
-            Tok::Ident(kw) if kw == "fn" => {
-                raw_funcs.push(p.parse_function(false)?);
+            Tok::Ident("fn") => funcs.push(p.parse_function(false)?),
+            Tok::Ident("extern") => {
+                p.next();
+                funcs.push(p.parse_function(true)?);
             }
-            Tok::Ident(kw) if kw == "extern" => {
-                p.lx.next();
-                raw_funcs.push(p.parse_function(true)?);
-            }
-            other => {
-                return p.lx.err(format!("expected `struct`, `fn`, or `extern`, found {other}"));
-            }
+            other => return p.err(format!("expected `struct`, `fn`, or `extern`, found {other}")),
         }
     }
-
-    resolve(mod_name, file, raw_structs, raw_funcs)
+    Resolver::default().module(name, file, structs, funcs)
 }
 
 /// Name resolution + local type inference, producing the final [`Module`].
-fn resolve(
-    mod_name: String,
-    file: String,
-    raw_structs: Vec<StructDefRaw>,
-    raw_funcs: Vec<RawFunction>,
-) -> Result<Module, ParseError> {
-    let struct_ids: HashMap<String, StructId> =
-        raw_structs.iter().enumerate().map(|(i, s)| (s.name.clone(), StructId(i as u32))).collect();
-
-    let lower_ty = |ty: &RawTy, line: u32| -> PResult<Ty> {
-        match ty {
-            RawTy::I64 => Ok(Ty::I64),
-            RawTy::Array(n) => Ok(Ty::Array(*n)),
-            RawTy::Ptr(name) => struct_ids
-                .get(name)
-                .map(|id| Ty::Ptr(*id))
-                .ok_or_else(|| ParseError { line, msg: format!("unknown struct `{name}`") }),
-        }
-    };
-
-    let mut structs = Vec::with_capacity(raw_structs.len());
-    for rs in &raw_structs {
-        let mut fields = Vec::with_capacity(rs.fields.len());
-        for (fname, fty) in &rs.fields {
-            fields.push(FieldDef { name: fname.clone(), ty: lower_ty(fty, 0)? });
-        }
-        structs.push(StructDef { name: rs.name.clone(), fields });
-    }
-
-    // Function signatures first, so calls can be typed.
-    let mut func_ret: HashMap<String, Option<Ty>> = HashMap::new();
-    for rf in &raw_funcs {
-        let ret = match &rf.ret_ty {
-            Some(t) => Some(lower_ty(t, rf.line)?),
-            None => None,
-        };
-        if func_ret.insert(rf.name.clone(), ret).is_some() {
-            return Err(ParseError {
-                line: rf.line,
-                msg: format!("duplicate function `{}`", rf.name),
-            });
-        }
-    }
-
-    let mut symbols = SymbolTable::new();
-    let mut functions = Vec::with_capacity(raw_funcs.len());
-    for rf in raw_funcs {
-        functions.push(resolve_function(
-            rf,
-            &structs,
-            &struct_ids,
-            &func_ret,
-            &lower_ty,
-            &mut symbols,
-        )?);
-    }
-
-    let mut module = Module::new(mod_name, file);
-    module.structs = structs;
-    module.functions = functions;
-    module.symbols = symbols;
-    module.rebuild_index();
-    Ok(module)
+/// The maps borrow their keys from the source text.
+#[derive(Default)]
+struct Resolver<'a> {
+    structs: Vec<StructDef>,
+    /// Struct name → its first and last definition: allocations name the
+    /// first struct of a name, types the last.
+    struct_ids: HashMap<&'a str, (StructId, StructId)>,
+    /// Function name → return type, so calls can be typed.
+    func_ret: HashMap<&'a str, Option<Ty>>,
+    symbols: SymbolTable,
+    /// The current function's locals and labels.
+    locals: Vec<LocalDecl>,
+    local_ids: HashMap<&'a str, LocalId>,
+    block_ids: HashMap<&'a str, BlockId>,
 }
 
-fn resolve_function(
-    rf: RawFunction,
-    structs: &[StructDef],
-    _struct_ids: &HashMap<String, StructId>,
-    func_ret: &HashMap<String, Option<Ty>>,
-    lower_ty: &dyn Fn(&RawTy, u32) -> PResult<Ty>,
-    symbols: &mut SymbolTable,
-) -> Result<Function, ParseError> {
-    let mut locals: Vec<LocalDecl> = Vec::new();
-    let mut local_ids: HashMap<String, LocalId> = HashMap::new();
-    for (pname, pty) in &rf.params {
-        let ty = lower_ty(pty, rf.line)?;
-        if matches!(ty, Ty::Array(_)) {
-            return Err(ParseError {
-                line: rf.line,
-                msg: format!("parameter `%{pname}` may not be an array"),
-            });
+impl<'a> Resolver<'a> {
+    fn module(
+        mut self,
+        name: &str,
+        file: String,
+        raw_structs: Vec<RawStruct<'a>>,
+        raw_funcs: Vec<RawFunction<'a>>,
+    ) -> PResult<Module> {
+        for (i, s) in raw_structs.iter().enumerate() {
+            let id = StructId(i as u32);
+            self.struct_ids.entry(s.name).and_modify(|ids| ids.1 = id).or_insert((id, id));
         }
-        let id = LocalId(locals.len() as u32);
-        if local_ids.insert(pname.clone(), id).is_some() {
-            return Err(ParseError {
-                line: rf.line,
-                msg: format!("duplicate parameter `%{pname}`"),
-            });
+        for s in &raw_structs {
+            let mut fields = Vec::with_capacity(s.fields.len());
+            for &(fname, ty) in &s.fields {
+                fields.push(FieldDef { name: fname.to_string(), ty: self.ty(ty, 0)? });
+            }
+            self.structs.push(StructDef { name: s.name.to_string(), fields });
         }
-        locals.push(LocalDecl { name: pname.clone(), ty });
-    }
-    let num_params = locals.len() as u32;
-    let ret_ty = match &rf.ret_ty {
-        Some(t) => Some(lower_ty(t, rf.line)?),
-        None => None,
-    };
-
-    let block_ids: HashMap<String, crate::module::BlockId> = rf
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.label.clone(), crate::module::BlockId(i as u32)))
-        .collect();
-    if block_ids.len() != rf.blocks.len() {
-        return Err(ParseError { line: rf.line, msg: "duplicate block label".into() });
+        let mut ret_tys = Vec::with_capacity(raw_funcs.len());
+        for f in &raw_funcs {
+            let ret = f.ret_ty.map(|t| self.ty(t, f.line)).transpose()?;
+            if self.func_ret.insert(f.name, ret).is_some() {
+                return fail(f.line, format!("duplicate function `{}`", f.name));
+            }
+            ret_tys.push(ret);
+        }
+        let mut functions = Vec::with_capacity(raw_funcs.len());
+        for (f, ret_ty) in raw_funcs.into_iter().zip(ret_tys) {
+            functions.push(self.function(f, ret_ty)?);
+        }
+        let mut module = Module::new(name, file);
+        module.structs = self.structs;
+        module.functions = functions;
+        module.symbols = self.symbols;
+        module.rebuild_index();
+        Ok(module)
     }
 
-    // Define a local on first assignment; later assignments must agree in
-    // type (all locals are mutable registers).
-    let define = |name: &str,
-                  ty: Ty,
-                  line: u32,
-                  locals: &mut Vec<LocalDecl>,
-                  local_ids: &mut HashMap<String, LocalId>|
-     -> PResult<LocalId> {
-        if let Some(&id) = local_ids.get(name) {
-            let existing = locals[id.index()].ty;
-            if existing != ty {
-                return Err(ParseError {
-                    line,
-                    msg: format!("local `%{name}` redefined with type {ty} (was {existing})"),
-                });
+    fn function(&mut self, f: RawFunction<'a>, ret_ty: Option<Ty>) -> PResult<Function> {
+        self.local_ids.clear();
+        for &(pname, pty) in &f.params {
+            let ty = self.ty(pty, f.line)?;
+            if matches!(ty, Ty::Array(_)) {
+                return fail(f.line, format!("parameter `%{pname}` may not be an array"));
             }
-            Ok(id)
-        } else {
-            let id = LocalId(locals.len() as u32);
-            local_ids.insert(name.to_string(), id);
-            locals.push(LocalDecl { name: name.to_string(), ty });
-            Ok(id)
-        }
-    };
-
-    let use_local =
-        |name: &str, line: u32, local_ids: &HashMap<String, LocalId>| -> PResult<LocalId> {
-            local_ids.get(name).copied().ok_or_else(|| ParseError {
-                line,
-                msg: format!("use of undefined local `%{name}`"),
-            })
-        };
-
-    let lower_operand =
-        |op: &RawOperand, line: u32, local_ids: &HashMap<String, LocalId>| -> PResult<Operand> {
-            match op {
-                RawOperand::Const(n) => Ok(Operand::Const(*n)),
-                RawOperand::Null => Ok(Operand::Null),
-                RawOperand::Local(name) => Ok(Operand::Local(use_local(name, line, local_ids)?)),
+            if self.local_ids.insert(pname, LocalId(self.locals.len() as u32)).is_some() {
+                return fail(f.line, format!("duplicate parameter `%{pname}`"));
             }
-        };
-
-    // Resolve a raw place; returns the place and the type of the location it
-    // names (for load-type inference).
-    let lower_place = |rp: &RawPlace,
-                       locals: &[LocalDecl],
-                       local_ids: &HashMap<String, LocalId>|
-     -> PResult<(Place, Ty)> {
-        let base = use_local(&rp.base, rp.line, local_ids)?;
-        let base_ty = locals[base.index()].ty;
-        match &rp.field {
-            None => Ok((Place::local(base), base_ty)),
-            Some(fname) => {
-                let sid = base_ty.pointee().ok_or_else(|| ParseError {
-                    line: rp.line,
-                    msg: format!("`%{}` is not a pointer, cannot access field `{fname}`", rp.base),
-                })?;
-                let sdef = &structs[sid.index()];
-                let fidx = sdef.field_index(fname).ok_or_else(|| ParseError {
-                    line: rp.line,
-                    msg: format!("struct `{}` has no field `{fname}`", sdef.name),
-                })?;
-                let fty = sdef.field(fidx).ty;
-                match &rp.index {
-                    None => Ok((Place::field(base, fidx), fty)),
-                    Some(idx) => {
-                        if !matches!(fty, Ty::Array(_)) {
-                            return Err(ParseError {
-                                line: rp.line,
-                                msg: format!("field `{fname}` is not an array"),
-                            });
-                        }
-                        let idx = lower_operand(idx, rp.line, local_ids)?;
-                        Ok((Place::indexed(base, fidx, idx), Ty::I64))
-                    }
-                }
+            self.locals.push(LocalDecl { name: pname.to_string(), ty });
+        }
+        let num_params = self.locals.len() as u32;
+        self.block_ids.clear();
+        for (i, b) in f.blocks.iter().enumerate() {
+            self.block_ids.insert(b.label, BlockId(i as u32));
+        }
+        if self.block_ids.len() != f.blocks.len() {
+            return fail(f.line, "duplicate block label");
+        }
+        let mut blocks = Vec::with_capacity(f.blocks.len());
+        for b in f.blocks {
+            let mut insts = Vec::with_capacity(b.insts.len());
+            for (inst, loc) in b.insts {
+                insts.push(Spanned { inst: self.inst(inst, loc.line)?, loc });
             }
+            let term = Spanned { inst: self.term(b.term, b.term_line)?, loc: b.term_loc };
+            blocks.push((b.label.to_string(), insts, term));
         }
-    };
+        let locals = std::mem::take(&mut self.locals);
+        Ok(Function::assemble(f.name.to_string(), num_params, locals, ret_ty, blocks, f.attrs))
+    }
 
-    let mut blocks = Vec::with_capacity(rf.blocks.len());
-    for rb in rf.blocks {
-        let mut insts = Vec::with_capacity(rb.insts.len());
-        for (ri, loc) in rb.insts {
-            let line = loc.line;
-            let inst = match ri {
-                RawInst::PAlloc { dst, ty } => {
-                    let sid = structs
-                        .iter()
-                        .position(|s| s.name == ty)
-                        .map(|i| StructId(i as u32))
-                        .ok_or_else(|| ParseError {
-                            line,
-                            msg: format!("unknown struct `{ty}`"),
-                        })?;
-                    let dst = define(&dst, Ty::Ptr(sid), line, &mut locals, &mut local_ids)?;
-                    Inst::PAlloc { dst, ty: sid }
+    fn inst(&mut self, inst: RawInst<'a>, line: u32) -> PResult<Inst> {
+        Ok(match inst {
+            RawInst::Plain(inst) => inst,
+            RawInst::PAlloc { dst, ty } => {
+                let ty = self.alloc_ty(ty, line)?;
+                Inst::PAlloc { dst: self.define(dst, Ty::Ptr(ty), line)?, ty }
+            }
+            RawInst::VAlloc { dst, ty } => {
+                let ty = self.alloc_ty(ty, line)?;
+                Inst::VAlloc { dst: self.define(dst, Ty::Ptr(ty), line)?, ty }
+            }
+            RawInst::Store { place, value } => {
+                let value = self.operand(value, line)?;
+                let (place, _) = self.place(&place)?;
+                if place.is_whole_object() {
+                    return fail(line, "store needs a field place (use `mov` for locals)");
                 }
-                RawInst::VAlloc { dst, ty } => {
-                    let sid = structs
-                        .iter()
-                        .position(|s| s.name == ty)
-                        .map(|i| StructId(i as u32))
-                        .ok_or_else(|| ParseError {
-                            line,
-                            msg: format!("unknown struct `{ty}`"),
-                        })?;
-                    let dst = define(&dst, Ty::Ptr(sid), line, &mut locals, &mut local_ids)?;
-                    Inst::VAlloc { dst, ty: sid }
+                Inst::Store { place, value }
+            }
+            RawInst::Load { dst, place } => {
+                let (place, ty) = self.place(&place)?;
+                if place.is_whole_object() {
+                    return fail(line, "load needs a field place (use `mov` for locals)");
                 }
-                RawInst::Store { place, value } => {
-                    let value = lower_operand(&value, line, &local_ids)?;
-                    let (place, _) = lower_place(&place, &locals, &local_ids)?;
-                    if place.is_whole_object() {
-                        return Err(ParseError {
-                            line,
-                            msg: "store needs a field place (use `mov` for locals)".into(),
-                        });
+                Inst::Load { dst: self.define(dst, ty, line)?, place }
+            }
+            RawInst::Bin { dst, op, lhs, rhs } => {
+                let lhs = self.operand(lhs, line)?;
+                let rhs = self.operand(rhs, line)?;
+                Inst::Bin { dst: self.define(dst, Ty::I64, line)?, op, lhs, rhs }
+            }
+            RawInst::Mov { dst, src } => {
+                let src = self.operand(src, line)?;
+                let ty = match src {
+                    Operand::Local(id) => self.locals[id.index()].ty,
+                    Operand::Const(_) => Ty::I64,
+                    Operand::Null => {
+                        return fail(line, "cannot infer type of `mov null`; store null directly")
                     }
-                    Inst::Store { place, value }
-                }
-                RawInst::Load { dst, place } => {
-                    let (place, ty) = lower_place(&place, &locals, &local_ids)?;
-                    if place.is_whole_object() {
-                        return Err(ParseError {
-                            line,
-                            msg: "load needs a field place (use `mov` for locals)".into(),
-                        });
+                };
+                Inst::Mov { dst: self.define(dst, ty, line)?, src }
+            }
+            RawInst::Flush(place) => Inst::Flush { place: self.place(&place)?.0 },
+            RawInst::Persist(place) => Inst::Persist { place: self.place(&place)?.0 },
+            RawInst::MemSetPersist { place, value } => {
+                let value = self.operand(value, line)?;
+                Inst::MemSetPersist { place: self.place(&place)?.0, value }
+            }
+            RawInst::TxAdd(place) => Inst::TxAdd { place: self.place(&place)?.0 },
+            RawInst::Call { dst, func: callee, args, ty } => {
+                let args =
+                    args.into_iter().map(|a| self.operand(a, line)).collect::<PResult<Vec<_>>>()?;
+                let dst = match dst {
+                    None => None,
+                    Some(name) => {
+                        let ty = match (ty, self.func_ret.get(callee)) {
+                            (Some(t), _) => self.ty(t, line)?,
+                            (None, Some(&Some(t))) => t,
+                            (None, Some(None)) => {
+                                return fail(
+                                    line,
+                                    format!(
+                                        "call to void function `{callee}` cannot have a result"
+                                    ),
+                                )
+                            }
+                            // Out-of-module callee: default to i64 unless annotated.
+                            (None, None) => Ty::I64,
+                        };
+                        Some(self.define(name, ty, line)?)
                     }
-                    let dst = define(&dst, ty, line, &mut locals, &mut local_ids)?;
-                    Inst::Load { dst, place }
-                }
-                RawInst::Bin { dst, op, lhs, rhs } => {
-                    let lhs = lower_operand(&lhs, line, &local_ids)?;
-                    let rhs = lower_operand(&rhs, line, &local_ids)?;
-                    let dst = define(&dst, Ty::I64, line, &mut locals, &mut local_ids)?;
-                    Inst::Bin { dst, op, lhs, rhs }
-                }
-                RawInst::Mov { dst, src } => {
-                    let src = lower_operand(&src, line, &local_ids)?;
-                    let ty = match src {
-                        Operand::Local(id) => locals[id.index()].ty,
-                        Operand::Const(_) => Ty::I64,
-                        Operand::Null => {
-                            return Err(ParseError {
-                                line,
-                                msg: "cannot infer type of `mov null`; store null directly".into(),
-                            })
-                        }
-                    };
-                    let dst = define(&dst, ty, line, &mut locals, &mut local_ids)?;
-                    Inst::Mov { dst, src }
-                }
-                RawInst::Flush { place } => {
-                    let (place, _) = lower_place(&place, &locals, &local_ids)?;
-                    Inst::Flush { place }
-                }
-                RawInst::Fence => Inst::Fence,
-                RawInst::Persist { place } => {
-                    let (place, _) = lower_place(&place, &locals, &local_ids)?;
-                    Inst::Persist { place }
-                }
-                RawInst::MemSetPersist { place, value } => {
-                    let value = lower_operand(&value, line, &local_ids)?;
-                    let (place, _) = lower_place(&place, &locals, &local_ids)?;
-                    Inst::MemSetPersist { place, value }
-                }
-                RawInst::TxBegin => Inst::TxBegin,
-                RawInst::TxAdd { place } => {
-                    let (place, _) = lower_place(&place, &locals, &local_ids)?;
-                    Inst::TxAdd { place }
-                }
-                RawInst::TxCommit => Inst::TxCommit,
-                RawInst::TxAbort => Inst::TxAbort,
-                RawInst::EpochBegin => Inst::EpochBegin,
-                RawInst::EpochEnd => Inst::EpochEnd,
-                RawInst::StrandBegin => Inst::StrandBegin,
-                RawInst::StrandEnd => Inst::StrandEnd,
-                RawInst::Call { dst, callee, args, ty } => {
-                    let args = args
-                        .iter()
-                        .map(|a| lower_operand(a, line, &local_ids))
-                        .collect::<PResult<Vec<_>>>()?;
-                    let dst = match dst {
-                        None => None,
-                        Some(name) => {
-                            let dty = match &ty {
-                                Some(t) => lower_ty(t, line)?,
-                                None => match func_ret.get(&callee) {
-                                    Some(Some(t)) => *t,
-                                    Some(None) => {
-                                        return Err(ParseError {
-                                            line,
-                                            msg: format!(
-                                            "call to void function `{callee}` cannot have a result"
-                                        ),
-                                        })
-                                    }
-                                    // Out-of-module callee: default to i64
-                                    // unless annotated.
-                                    None => Ty::I64,
-                                },
-                            };
-                            Some(define(&name, dty, line, &mut locals, &mut local_ids)?)
-                        }
-                    };
-                    Inst::Call { dst, callee: symbols.intern(&callee), args }
-                }
-            };
-            insts.push(Spanned { inst, loc });
-        }
+                };
+                Inst::Call { dst, callee: self.symbols.intern(callee), args }
+            }
+        })
+    }
 
-        let (rt, term_loc) = rb.term;
-        let term = match rt {
-            RawTerm::Ret { value } => {
-                Inst2Term::ret(value, rb.term_line, &local_ids, &lower_operand)?
+    fn term(&self, term: RawTerm<'a>, line: u32) -> PResult<Terminator> {
+        Ok(match term {
+            RawTerm::Ret(value) => {
+                Terminator::Ret { value: value.map(|v| self.operand(v, line)).transpose()? }
             }
             RawTerm::Br { cond, then_bb, else_bb } => {
-                let cond = lower_operand(&cond, rb.term_line, &local_ids)?;
-                let then_bb = *block_ids.get(&then_bb).ok_or_else(|| ParseError {
-                    line: rb.term_line,
-                    msg: format!("unknown block `{then_bb}`"),
-                })?;
-                let else_bb = *block_ids.get(&else_bb).ok_or_else(|| ParseError {
-                    line: rb.term_line,
-                    msg: format!("unknown block `{else_bb}`"),
-                })?;
-                Terminator::Br { cond, then_bb, else_bb }
+                let cond = self.operand(cond, line)?;
+                let then_bb = self.block(then_bb, line)?;
+                Terminator::Br { cond, then_bb, else_bb: self.block(else_bb, line)? }
             }
-            RawTerm::Jmp { bb } => {
-                let bb = *block_ids.get(&bb).ok_or_else(|| ParseError {
-                    line: rb.term_line,
-                    msg: format!("unknown block `{bb}`"),
-                })?;
-                Terminator::Jmp { bb }
-            }
-        };
-        blocks.push((rb.label, insts, Spanned { inst: term, loc: term_loc }));
+            RawTerm::Jmp(bb) => Terminator::Jmp { bb: self.block(bb, line)? },
+        })
     }
 
-    if rf.is_extern && !blocks.is_empty() {
-        return Err(ParseError {
-            line: rf.line,
-            msg: format!("extern function `{}` must not have a body", rf.name),
-        });
+    fn ty(&self, ty: RawTy<'_>, line: u32) -> PResult<Ty> {
+        match ty {
+            RawTy::I64 => Ok(Ty::I64),
+            RawTy::Array(n) => Ok(Ty::Array(n)),
+            RawTy::Ptr(name) => match self.struct_ids.get(name) {
+                Some(&(_, last)) => Ok(Ty::Ptr(last)),
+                None => fail(line, format!("unknown struct `{name}`")),
+            },
+        }
     }
 
-    Ok(Function::assemble(rf.name, num_params, locals, ret_ty, blocks, rf.attrs))
-}
+    fn alloc_ty(&self, name: &str, line: u32) -> PResult<StructId> {
+        match self.struct_ids.get(name) {
+            Some(&(first, _)) => Ok(first),
+            None => fail(line, format!("unknown struct `{name}`")),
+        }
+    }
 
-/// Operand-lowering callback shared by terminator helpers.
-type LowerOperandFn<'a> =
-    &'a dyn Fn(&RawOperand, u32, &HashMap<String, LocalId>) -> PResult<Operand>;
+    fn block(&self, label: &str, line: u32) -> PResult<BlockId> {
+        match self.block_ids.get(label) {
+            Some(&id) => Ok(id),
+            None => fail(line, format!("unknown block `{label}`")),
+        }
+    }
 
-/// Helper namespace for lowering `ret` (kept out of the closure soup above).
-struct Inst2Term;
+    /// Define a local on first assignment; later assignments must agree in
+    /// type (all locals are mutable registers).
+    fn define(&mut self, name: &'a str, ty: Ty, line: u32) -> PResult<LocalId> {
+        match self.local_ids.entry(name) {
+            Entry::Occupied(e) => {
+                let id = *e.get();
+                let was = self.locals[id.index()].ty;
+                if was != ty {
+                    return fail(
+                        line,
+                        format!("local `%{name}` redefined with type {ty} (was {was})"),
+                    );
+                }
+                Ok(id)
+            }
+            Entry::Vacant(e) => {
+                let id = *e.insert(LocalId(self.locals.len() as u32));
+                self.locals.push(LocalDecl { name: name.to_string(), ty });
+                Ok(id)
+            }
+        }
+    }
 
-impl Inst2Term {
-    fn ret(
-        value: Option<RawOperand>,
-        line: u32,
-        local_ids: &HashMap<String, LocalId>,
-        lower_operand: LowerOperandFn<'_>,
-    ) -> PResult<Terminator> {
-        let value = match value {
-            None => None,
-            Some(v) => Some(lower_operand(&v, line, local_ids)?),
+    fn local(&self, name: &str, line: u32) -> PResult<LocalId> {
+        match self.local_ids.get(name) {
+            Some(&id) => Ok(id),
+            None => fail(line, format!("use of undefined local `%{name}`")),
+        }
+    }
+
+    fn operand(&self, op: RawOperand<'_>, line: u32) -> PResult<Operand> {
+        Ok(match op {
+            RawOperand::Const(n) => Operand::Const(n),
+            RawOperand::Null => Operand::Null,
+            RawOperand::Local(name) => Operand::Local(self.local(name, line)?),
+        })
+    }
+
+    /// Resolve a place and the type of the location it names (for load-type
+    /// inference).
+    fn place(&self, p: &RawPlace<'_>) -> PResult<(Place, Ty)> {
+        let base = self.local(p.base, p.line)?;
+        let base_ty = self.locals[base.index()].ty;
+        let Some(fname) = p.field else { return Ok((Place::local(base), base_ty)) };
+        let Some(sid) = base_ty.pointee() else {
+            let msg = format!("`%{}` is not a pointer, cannot access field `{fname}`", p.base);
+            return fail(p.line, msg);
         };
-        Ok(Terminator::Ret { value })
+        let sdef = &self.structs[sid.index()];
+        let Some(fidx) = sdef.field_index(fname) else {
+            return fail(p.line, format!("struct `{}` has no field `{fname}`", sdef.name));
+        };
+        let fty = sdef.field(fidx).ty;
+        match p.index {
+            None => Ok((Place::field(base, fidx), fty)),
+            Some(_) if !matches!(fty, Ty::Array(_)) => {
+                fail(p.line, format!("field `{fname}` is not an array"))
+            }
+            Some(idx) => Ok((Place::indexed(base, fidx, self.operand(idx, p.line)?), Ty::I64)),
+        }
     }
 }
 

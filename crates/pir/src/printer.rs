@@ -106,13 +106,14 @@ fn print_function(out: &mut String, f: &Function, module: &Module) {
     }
     out.push_str(" {\n");
     // Track the line the parser's auto-incrementing `loc` counter would
-    // assign next; emit a directive only when the desired line differs.
+    // assign next (none past `u32::MAX`); emit a directive only when the
+    // desired line differs.
     let mut next_loc: Option<u32> = None;
     let emit_loc = |out: &mut String, want: u32, next_loc: &mut Option<u32>| {
         if *next_loc != Some(want) {
             let _ = writeln!(out, "  loc {want}");
         }
-        *next_loc = Some(want + 1);
+        *next_loc = want.checked_add(1);
     };
     for b in &f.blocks {
         let _ = writeln!(out, "{}:", b.label);

@@ -12,13 +12,9 @@
 //! number or precedence between two errors can drift without this test
 //! failing.
 //!
-//! Three sites cannot be reached from text and have no case: the
-//! parser's "expected terminator" (a terminator is parsed only after its
-//! keyword was seen) and "extern function must not have a body" (an
-//! extern's `{` already fails at the top level), and the verifier checks
-//! that the parser's own resolution already rules out (unknown locals,
-//! structs, blocks or symbols, and type mismatches of a fresh
-//! definition).
+//! The verifier checks that the parser's own resolution already rules out
+//! (unknown locals, structs, blocks or symbols, and type mismatches of a
+//! fresh definition) cannot be reached from text and have no case.
 //!
 //! Regenerate with `UPDATE_DIAGNOSTICS_GOLDEN=1 cargo test -p deepmc-pir
 //! --test diagnostics` after an intentional diagnostic change.
@@ -205,6 +201,24 @@ const CASES: &[(&str, &str)] = &[
         s!("struct s { b: i64 }\nfn f(%q: ptr s) {\nentry:\n  %p = palloc s\n  store %q.b, 1\n  \
          ret\n}\n"),
     ),
+    // --- integer limits ---------------------------------------------------
+    // Array lengths and lines are u32; a constant is any i64.
+    ("array_length_past_u32", "module m\nstruct s { arr: [i64; 4294967297] }\n"),
+    ("loc_line_past_u32", "module m\nfn f() {\nentry:\n  loc 4294967300\n  ret\n}\n"),
+    (
+        "loc_count_past_u32",
+        "module m\nfn f() {\nentry:\n  loc 4294967295\n  fence\n  fence\n  ret\n}\n",
+    ),
+    ("ok_loc_at_u32_max", "module m\nfn f() {\nentry:\n  fence\n  loc 4294967295\n  ret\n}\n"),
+    (
+        "ok_i64_extremes",
+        "module m\nfn f() -> i64 {\nentry:\n  %a = mov -9223372036854775808\n  \
+         %b = mov 9223372036854775807\n  %c = sub %a, -9223372036854775808\n  ret %b\n}\n",
+    ),
+    (
+        "integer_overflow_below_i64_min",
+        "module m\nfn f() {\nentry:\n  %a = mov -9223372036854775809\n  ret\n}\n",
+    ),
 ];
 
 /// Render one case's outcome as the CLI prints it.
@@ -244,10 +258,13 @@ fn diagnostics_match_golden() {
             path.display()
         )
     });
-    for (got, want) in rendered.lines().zip(golden.lines()) {
-        assert_eq!(got, want, "diagnostic differs from the golden");
+    let (got, want): (Vec<&str>, Vec<&str>) =
+        (rendered.lines().collect(), golden.lines().collect());
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "line {} differs from the golden", i + 1);
     }
-    assert_eq!(rendered, golden, "diagnostics differ from the golden");
+    assert_eq!(got.len(), want.len(), "the golden has another number of lines");
+    assert_eq!(rendered, golden, "line endings differ from the golden");
 }
 
 #[test]

@@ -49,9 +49,15 @@ enum OpInner {
     Fence,
 }
 
+/// Constants: any `i64`, with both extremes drawn explicitly, since the
+/// printer writes `i64::MIN` as a `-` and a magnitude past `i64::MAX`.
+fn constant() -> impl Strategy<Value = i64> {
+    prop_oneof![Just(i64::MIN), Just(i64::MAX), any::<i64>()]
+}
+
 fn inner_strategy() -> impl Strategy<Value = OpInner> {
     prop_oneof![
-        (0u8..3, any::<i64>()).prop_map(|(field, val)| OpInner::Store { field, val }),
+        (0u8..3, constant()).prop_map(|(field, val)| OpInner::Store { field, val }),
         proptest::option::of(0u8..3).prop_map(|field| OpInner::Flush { field }),
         Just(OpInner::Fence),
     ]
@@ -59,8 +65,8 @@ fn inner_strategy() -> impl Strategy<Value = OpInner> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..3, any::<i64>()).prop_map(|(field, val)| Op::Store { field, val }),
-        (3u8..4, 0u8..4, any::<i64>()).prop_map(|(field, idx, val)| Op::StoreIndexed {
+        (0u8..3, constant()).prop_map(|(field, val)| Op::Store { field, val }),
+        (3u8..4, 0u8..4, constant()).prop_map(|(field, idx, val)| Op::StoreIndexed {
             field,
             idx,
             val
@@ -69,7 +75,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         proptest::option::of(0u8..3).prop_map(|field| Op::Flush { field }),
         Just(Op::Fence),
         proptest::option::of(0u8..3).prop_map(|field| Op::Persist { field }),
-        (0u8..14, any::<i64>(), any::<i64>()).prop_map(|(op, a, b)| Op::Bin(op, a, b)),
+        (0u8..14, constant(), constant()).prop_map(|(op, a, b)| Op::Bin(op, a, b)),
         any::<bool>().prop_map(|ext_b| Op::Call { ext_b }),
         proptest::collection::vec(inner_strategy(), 0..4).prop_map(Op::TxRegion),
         proptest::collection::vec(inner_strategy(), 0..4).prop_map(Op::EpochRegion),
