@@ -91,13 +91,12 @@ pub fn parse_and_verify<T: Sync, S: AsRef<str>>(
     jobs: usize,
     text: impl Fn(&T) -> Result<S, CheckError> + Sync,
 ) -> Result<Vec<Module>, (usize, CheckError)> {
-    let load = |input: &T| {
-        let module = parse(text(input)?.as_ref()).map_err(CheckError::Parse)?;
-        deepmc_pir::verify::verify_module(&module).map_err(CheckError::Verify)?;
-        Ok(module)
-    };
     let loaded =
-        pool::run_indexed(pool::resolve_jobs(jobs), inputs.iter().collect(), |_, i| load(i));
+        pool::run_indexed(pool::resolve_jobs(jobs), inputs.iter().collect(), |_, input| {
+            let module = parse(text(input)?.as_ref()).map_err(CheckError::Parse)?;
+            deepmc_pir::verify::verify_module(&module).map_err(CheckError::Verify)?;
+            Ok(module)
+        });
     loaded.into_iter().enumerate().map(|(i, m)| m.map_err(|e| (i, e))).collect()
 }
 

@@ -117,7 +117,8 @@ fn name_end(src: &str, mut i: usize) -> usize {
 /// Scan the whole text into tokens tagged with their lines, ending in `Eof`.
 fn lex(src: &str) -> PResult<Vec<(Tok<'_>, u32)>> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::with_capacity(src.len() / 4);
+    // PIR text averages about 3.5 bytes per token.
+    let mut toks = Vec::with_capacity(src.len() / 3);
     let mut line = 1;
     let mut i = 0;
     while let Some(&b) = bytes.get(i) {
@@ -252,7 +253,8 @@ enum RawTy<'a> {
 
 struct RawBlock<'a> {
     label: &'a str,
-    insts: Vec<(RawInst<'a>, SourceLoc)>,
+    /// How many of the function's next raw instructions are this block's.
+    len: usize,
     term: RawTerm<'a>,
     term_loc: SourceLoc,
     /// The terminator's line in the text, which its errors report.
@@ -264,6 +266,8 @@ struct RawFunction<'a> {
     params: Vec<(&'a str, RawTy<'a>)>,
     ret_ty: Option<RawTy<'a>>,
     attrs: Vec<FuncAttr>,
+    /// The instructions of every block, in block order.
+    insts: Vec<(RawInst<'a>, SourceLoc)>,
     /// Empty exactly for an `extern fn`.
     blocks: Vec<RawBlock<'a>>,
     line: u32,
@@ -427,7 +431,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_call_tail(&mut self, dst: Option<&'a str>) -> PResult<RawInst<'a>> {
-        let callee = self.expect_ident()?;
+        let func = self.expect_ident()?;
         self.expect(Tok::LParen)?;
         let mut args = Vec::new();
         if !self.eat(Tok::RParen) {
@@ -440,7 +444,7 @@ impl<'a> Parser<'a> {
             }
         }
         let ty = if self.eat(Tok::Colon) { Some(self.parse_ty()?) } else { None };
-        Ok(RawInst::Call { dst, func: callee, args, ty })
+        Ok(RawInst::Call { dst, func, args, ty })
     }
 
     /// Parse one statement. Returns `Ok(None)` for directives that produce
@@ -509,10 +513,11 @@ impl<'a> Parser<'a> {
         Ok(Some((inst, self.inst_loc(line)?)))
     }
 
-    fn parse_block(&mut self) -> PResult<RawBlock<'a>> {
+    /// Parse a block, appending its instructions to `insts`.
+    fn parse_block(&mut self, insts: &mut Vec<(RawInst<'a>, SourceLoc)>) -> PResult<RawBlock<'a>> {
         let label = self.expect_ident()?;
         self.expect(Tok::Colon)?;
-        let mut insts = Vec::new();
+        let first = insts.len();
         loop {
             let line = self.line();
             let term = match (self.peek(), self.peek2()) {
@@ -549,7 +554,13 @@ impl<'a> Parser<'a> {
                 }
             };
             let term_loc = self.inst_loc(line)?;
-            return Ok(RawBlock { label, insts, term, term_loc, term_line: line });
+            return Ok(RawBlock {
+                label,
+                len: insts.len() - first,
+                term,
+                term_loc,
+                term_line: line,
+            });
         }
     }
 
@@ -597,18 +608,18 @@ impl<'a> Parser<'a> {
         }
         let ret_ty = if self.eat(Tok::Arrow) { Some(self.parse_ty()?) } else { None };
         let attrs = self.parse_attrs()?;
-        let mut blocks = Vec::new();
+        let (mut insts, mut blocks) = (Vec::new(), Vec::new());
         if !is_extern {
             self.pending_loc = None;
             self.expect(Tok::LBrace)?;
             while !self.eat(Tok::RBrace) {
-                blocks.push(self.parse_block()?);
+                blocks.push(self.parse_block(&mut insts)?);
             }
             if blocks.is_empty() {
                 return self.err(format!("function `{name}` has no blocks"));
             }
         }
-        Ok(RawFunction { name, params, ret_ty, attrs, blocks, line })
+        Ok(RawFunction { name, params, ret_ty, attrs, insts, blocks, line })
     }
 
     fn parse_struct(&mut self) -> PResult<RawStruct<'a>> {
@@ -737,9 +748,10 @@ impl<'a> Resolver<'a> {
             return fail(f.line, "duplicate block label");
         }
         let mut blocks = Vec::with_capacity(f.blocks.len());
+        let mut raw = f.insts.into_iter();
         for b in f.blocks {
-            let mut insts = Vec::with_capacity(b.insts.len());
-            for (inst, loc) in b.insts {
+            let mut insts = Vec::with_capacity(b.len);
+            for (inst, loc) in raw.by_ref().take(b.len) {
                 insts.push(Spanned { inst: self.inst(inst, loc.line)?, loc });
             }
             let term = Spanned { inst: self.term(b.term, b.term_line)?, loc: b.term_loc };
@@ -798,21 +810,19 @@ impl<'a> Resolver<'a> {
                 Inst::MemSetPersist { place: self.place(&place)?.0, value }
             }
             RawInst::TxAdd(place) => Inst::TxAdd { place: self.place(&place)?.0 },
-            RawInst::Call { dst, func: callee, args, ty } => {
+            RawInst::Call { dst, func, args, ty } => {
                 let args =
                     args.into_iter().map(|a| self.operand(a, line)).collect::<PResult<Vec<_>>>()?;
                 let dst = match dst {
                     None => None,
                     Some(name) => {
-                        let ty = match (ty, self.func_ret.get(callee)) {
+                        let ty = match (ty, self.func_ret.get(func)) {
                             (Some(t), _) => self.ty(t, line)?,
                             (None, Some(&Some(t))) => t,
                             (None, Some(None)) => {
                                 return fail(
                                     line,
-                                    format!(
-                                        "call to void function `{callee}` cannot have a result"
-                                    ),
+                                    format!("call to void function `{func}` cannot have a result"),
                                 )
                             }
                             // Out-of-module callee: default to i64 unless annotated.
@@ -821,7 +831,7 @@ impl<'a> Resolver<'a> {
                         Some(self.define(name, ty, line)?)
                     }
                 };
-                Inst::Call { dst, callee: self.symbols.intern(callee), args }
+                Inst::Call { dst, callee: self.symbols.intern(func), args }
             }
         })
     }
